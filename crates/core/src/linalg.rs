@@ -599,6 +599,132 @@ pub(crate) fn rbf_gram_parallel<T: Elem>(
     out
 }
 
+/// Sample rows per pass of [`atb_band`]: a pass's slice of a band's
+/// operand columns stays cache-resident across every output tile it feeds,
+/// however tall the chunk being folded.
+const FOLD_ROWS: usize = 256;
+
+/// `out[i][j] += Σₖ a[k][r0 + i] · b[k][j]` for the output rows `i` of one
+/// band (`out` holds `rows` full-width rows of `b_cols`), columns
+/// `col_start..b_cols` only, reading both row-major operands (`a_cols` and
+/// `b_cols` wide, same row count) in place so no transpose is ever built.
+///
+/// The sample rows are taken in passes of [`FOLD_ROWS`]. Within a pass,
+/// four-by-four output tiles are loaded into registers, updated once per
+/// sample row in ascending `k`, and stored back; edge tiles run the same
+/// sequence one element at a time. Every element therefore sees exactly
+/// `out + p₀ + p₁ + … + pₙ₋₁` in that order — the sequence the blocked
+/// `i-k-j` gemm applied to `aᵀ` performs — so the result is bit-identical
+/// to `a.transpose().matmul(&b)` added into `out`, for every band and tile
+/// split.
+#[allow(clippy::too_many_arguments)]
+fn atb_band(
+    a: &[f64],
+    a_cols: usize,
+    r0: usize,
+    rows: usize,
+    b: &[f64],
+    b_cols: usize,
+    col_start: usize,
+    out: &mut [f64],
+) {
+    debug_assert_eq!(out.len(), rows * b_cols);
+    const T: usize = 4;
+    for (a_pass, b_pass) in a
+        .chunks(FOLD_ROWS * a_cols)
+        .zip(b.chunks(FOLD_ROWS * b_cols))
+    {
+        let pass_rows = || a_pass.chunks_exact(a_cols).zip(b_pass.chunks_exact(b_cols));
+        for jj in (col_start..b_cols).step_by(BLOCK) {
+            let j_end = (jj + BLOCK).min(b_cols);
+            for i in (0..rows).step_by(T) {
+                let ih = T.min(rows - i);
+                for j in (jj..j_end).step_by(T) {
+                    let jw = T.min(j_end - j);
+                    if ih < T || jw < T {
+                        for ti in i..i + ih {
+                            for tj in j..j + jw {
+                                let mut acc = out[ti * b_cols + tj];
+                                for (ar, br) in pass_rows() {
+                                    acc += ar[r0 + ti] * br[tj];
+                                }
+                                out[ti * b_cols + tj] = acc;
+                            }
+                        }
+                        continue;
+                    }
+                    let mut acc = [[0.0f64; T]; T];
+                    for (r, acc_row) in acc.iter_mut().enumerate() {
+                        let at = (i + r) * b_cols + j;
+                        acc_row.copy_from_slice(&out[at..at + T]);
+                    }
+                    for (ar, br) in pass_rows() {
+                        let av: &[f64; T] = ar[r0 + i..r0 + i + T].try_into().expect("tile");
+                        let bv: &[f64; T] = br[j..j + T].try_into().expect("tile");
+                        for (acc_row, &ak) in acc.iter_mut().zip(av) {
+                            for (c, &bk) in acc_row.iter_mut().zip(bv) {
+                                *c += ak * bk;
+                            }
+                        }
+                    }
+                    for (r, acc_row) in acc.iter().enumerate() {
+                        let at = (i + r) * b_cols + j;
+                        out[at..at + T].copy_from_slice(acc_row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `out (a_cols x b_cols) += aᵀ · b` for `n`-row row-major operands, with
+/// the output rows cut into `band_rows`-row bands that the persistent pool
+/// hands out on demand. With `upper` set, `b` must be `a` and each band
+/// starts at its own first row's column, so only the upper triangle of the
+/// Gram `aᵀa` (plus the lower half of each band's diagonal block) is
+/// computed; [`Matrix::mirror_upper`] fills in the rest. Band boundaries
+/// never change an element's accumulation order, so the result is
+/// bit-identical for every `band_rows` and thread count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn add_atb_banded(
+    a: &[f64],
+    a_cols: usize,
+    b: &[f64],
+    b_cols: usize,
+    n: usize,
+    out: &mut [f64],
+    band_rows: usize,
+    upper: bool,
+) {
+    debug_assert_eq!(a.len(), n * a_cols);
+    debug_assert_eq!(b.len(), n * b_cols);
+    debug_assert_eq!(out.len(), a_cols * b_cols);
+    debug_assert!(!upper || (a_cols == b_cols && std::ptr::eq(a, b)));
+    if n == 0 || a_cols == 0 || b_cols == 0 {
+        return;
+    }
+    let band_rows = band_rows.max(1);
+    let bands = a_cols.div_ceil(band_rows);
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    let run_band = |band: usize| {
+        let r0 = band * band_rows;
+        let rows = band_rows.min(a_cols - r0);
+        // SAFETY: band `band` exclusively owns output rows `r0..r0 + rows`,
+        // which lie inside `out`, and `out` outlives every band because both
+        // the serial loop and `Pool::run` return only after the last one.
+        let out_band = unsafe {
+            std::slice::from_raw_parts_mut(out_ptr.get().add(r0 * b_cols), rows * b_cols)
+        };
+        let col_start = if upper { r0 } else { 0 };
+        atb_band(a, a_cols, r0, rows, b, b_cols, col_start, out_band);
+    };
+    if n * a_cols * b_cols < PARALLEL_WORK_CUTOFF {
+        (0..bands).for_each(run_band);
+    } else {
+        pool().run(bands, &run_band);
+    }
+}
+
 /// Scale every `cols`-wide row of `data` to unit L2 norm in place, skipping
 /// rows whose norm is at or below [`NORM_EPSILON`] (in `T`'s precision) —
 /// the generic slab form behind [`Matrix::l2_normalize_rows`] and the f32
@@ -626,7 +752,7 @@ pub(crate) fn l2_normalize_rows_slab<T: Elem>(data: &mut [T], cols: usize) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// The matrix handed to [`Matrix::cholesky`] was not symmetric
-    /// positive-definite (a non-positive pivot was encountered).
+    /// positive-definite (a pivot was non-positive, infinite or NaN).
     NotPositiveDefinite { pivot_index: usize },
     /// Operand shapes do not line up for the requested operation.
     ShapeMismatch {
@@ -643,7 +769,7 @@ impl fmt::Display for LinalgError {
         match self {
             LinalgError::NotPositiveDefinite { pivot_index } => write!(
                 f,
-                "matrix is not symmetric positive-definite (pivot {pivot_index} <= 0)"
+                "matrix is not symmetric positive-definite (pivot {pivot_index} is not positive and finite)"
             ),
             LinalgError::ShapeMismatch { expected, got } => write!(
                 f,
@@ -872,16 +998,18 @@ impl Matrix {
     }
 
     /// Accumulate `self += aᵀ · b` where `a` is `n x rows(self)` and `b` is
-    /// `n x cols(self)` — the Gram-fold primitive behind out-of-core
-    /// training.
+    /// `n x cols(self)` — the cross-product fold behind out-of-core
+    /// training (`XᵀYS`).
     ///
-    /// Runs the same blocked kernel as [`Matrix::matmul`], which adds into
-    /// each output element in strictly ascending order over `a`'s rows.
-    /// Folding a tall matrix as consecutive row slabs therefore performs the
-    /// *identical* floating-point addition sequence as
-    /// `a.transpose().matmul(&b)` in one shot: streamed Gram matrices are
-    /// bit-identical to the in-memory product for every chunk size (the
-    /// differential suite in `tests/streaming_equiv.rs` pins this).
+    /// Reads both operands row-major (no transpose is built) and runs the
+    /// output in `BLOCK`-row bands on the persistent pool. Each output
+    /// element is added into in strictly ascending order over `a`'s rows,
+    /// exactly as [`Matrix::matmul`] does for `aᵀ`, so folding a tall matrix
+    /// as consecutive row slabs performs the *identical* floating-point
+    /// addition sequence as `a.transpose().matmul(&b)` in one shot: streamed
+    /// Gram matrices are bit-identical to the in-memory product for every
+    /// chunk size and thread count (the differential suite in
+    /// `tests/streaming_equiv.rs` pins this).
     pub fn add_transposed_product(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(
             a.rows, b.rows,
@@ -897,11 +1025,55 @@ impl Matrix {
             self.rows,
             self.cols
         );
-        if a.rows == 0 {
-            return;
+        add_atb_banded(
+            &a.data,
+            a.cols,
+            &b.data,
+            b.cols,
+            a.rows,
+            &mut self.data,
+            BLOCK,
+            false,
+        );
+    }
+
+    /// Accumulate the upper triangle of `self += aᵀ · a` (`self` is
+    /// `cols(a)` square) — the symmetric Gram fold. Each upper element gets
+    /// the same addition sequence as [`Matrix::add_transposed_product`]
+    /// with `b = a`; the strict lower triangle is left partly stale until
+    /// [`Matrix::mirror_upper`] copies the upper one over it.
+    pub(crate) fn add_upper_gram(&mut self, a: &Matrix) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (a.cols, a.cols),
+            "add_upper_gram output must be {0}x{0}, got {1}x{2}",
+            a.cols,
+            self.rows,
+            self.cols
+        );
+        add_atb_banded(
+            &a.data,
+            a.cols,
+            &a.data,
+            a.cols,
+            a.rows,
+            &mut self.data,
+            BLOCK,
+            true,
+        );
+    }
+
+    /// Overwrite the strict lower triangle of a square matrix with the
+    /// transpose of its upper triangle. Products commute bit-exactly, so a
+    /// mirrored [`Matrix::add_upper_gram`] fold equals the full `aᵀa`.
+    pub(crate) fn mirror_upper(&mut self) {
+        assert_eq!(self.rows, self.cols, "mirror_upper needs a square matrix");
+        let n = self.rows;
+        for i in 0..n {
+            for j in 0..i {
+                self.data[i * n + j] = self.data[j * n + i];
+            }
         }
-        let at = a.transpose();
-        gemm_into(&at.data, a.cols, a.rows, &b.data, b.cols, &mut self.data);
     }
 
     /// Copy of the contiguous row slab `range.start..range.end` — the
@@ -1021,7 +1193,8 @@ impl Matrix {
                     sum -= l.data[i * n + k] * l.data[j * n + k];
                 }
                 if i == j {
-                    if sum <= 0.0 {
+                    // NaN compares false, so test for what a pivot must be.
+                    if !(sum > 0.0 && sum.is_finite()) {
                         return Err(LinalgError::NotPositiveDefinite { pivot_index: i });
                     }
                     l.data[i * n + j] = sum.sqrt();
@@ -1057,42 +1230,13 @@ impl Cholesky {
     pub fn solve_vec(&self, b: &[f64]) -> Vec<f64> {
         let n = self.l.rows;
         assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut y = vec![0.0; n];
-        let mut x = vec![0.0; n];
-        self.solve_into(b, &mut y, &mut x);
+        let mut x = b.to_vec();
+        self.substitute(&mut x, 1);
         x
-    }
-
-    /// Forward (`L y = b`) then backward (`Lᵀ x = y`) substitution into
-    /// caller-provided buffers, so batched solves reuse scratch instead of
-    /// allocating per right-hand side.
-    fn solve_into(&self, b: &[f64], y: &mut [f64], x: &mut [f64]) {
-        let n = self.l.rows;
-        for i in 0..n {
-            let mut sum = b[i];
-            let l_row = &self.l.data[i * n..i * n + i];
-            for (l, yk) in l_row.iter().zip(y.iter()) {
-                sum -= l * yk;
-            }
-            y[i] = sum / self.l.data[i * n + i];
-        }
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for (k, xk) in x.iter().enumerate().skip(i + 1) {
-                sum -= self.l.data[k * n + i] * xk;
-            }
-            x[i] = sum / self.l.data[i * n + i];
-        }
     }
 
     /// Solve `A X = B` for all right-hand sides, returning `X` with `B`'s
     /// shape.
-    ///
-    /// `B` is transposed once up front so every right-hand side is a
-    /// contiguous row (the old path gathered each column with stride
-    /// `b.cols`, a cache miss per element), solved row-wise with shared
-    /// scratch, and the result transposed back. The per-column arithmetic is
-    /// unchanged, so results are bit-identical to the strided path.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
         let n = self.l.rows;
         if b.rows != n {
@@ -1101,13 +1245,51 @@ impl Cholesky {
                 got: (b.rows, b.cols),
             });
         }
-        let bt = b.transpose();
-        let mut xt = Matrix::zeros(b.cols, n);
-        let mut y = vec![0.0; n];
-        for j in 0..b.cols {
-            self.solve_into(bt.row(j), &mut y, xt.row_mut(j));
+        let mut x = b.clone();
+        self.substitute(&mut x.data, b.cols);
+        Ok(x)
+    }
+
+    /// Forward (`L Y = B`) then backward (`Lᵀ X = Y`) substitution in place
+    /// over the `n x r` row-major right-hand sides in `rhs`.
+    ///
+    /// Both sweeps update whole rows of right-hand sides at once, so each
+    /// `L` entry is read once for all `r` columns and the inner loop streams
+    /// contiguous memory. Every element still sees the textbook sequence —
+    /// `bᵢ − Σₖ lᵢₖ·yₖ` over ascending `k`, then the division by `lᵢᵢ` (and
+    /// likewise for the back sweep) — so the result is bit-identical to
+    /// solving each column on its own.
+    fn substitute(&self, rhs: &mut [f64], r: usize) {
+        let n = self.l.rows;
+        let l = &self.l.data;
+        debug_assert_eq!(rhs.len(), n * r);
+        for i in 0..n {
+            let (done, rest) = rhs.split_at_mut(i * r);
+            let row = &mut rest[..r];
+            for (&lik, yk) in l[i * n..i * n + i].iter().zip(done.chunks_exact(r)) {
+                for (v, &y) in row.iter_mut().zip(yk) {
+                    *v -= lik * y;
+                }
+            }
+            let pivot = l[i * n + i];
+            for v in row {
+                *v /= pivot;
+            }
         }
-        Ok(xt.transpose())
+        for i in (0..n).rev() {
+            let (head, solved) = rhs.split_at_mut((i + 1) * r);
+            let row = &mut head[i * r..];
+            for (k, xk) in solved.chunks_exact(r).enumerate() {
+                let lki = l[(i + 1 + k) * n + i];
+                for (v, &x) in row.iter_mut().zip(xk) {
+                    *v -= lki * x;
+                }
+            }
+            let pivot = l[i * n + i];
+            for v in row {
+                *v /= pivot;
+            }
+        }
     }
 }
 
@@ -1380,6 +1562,49 @@ mod tests {
     }
 
     #[test]
+    fn symmetric_gram_fold_is_bit_identical_to_the_full_product() {
+        let mut rng = Rng::new(0x5A7);
+        let n = 200;
+        for d in [1usize, 63, 65, 130] {
+            let a = random_matrix(&mut rng, n, d);
+            let full = a.transpose().matmul(&a);
+            for chunk in [1usize, 3, n] {
+                for bands in 1..=4 {
+                    let band_rows = d.div_ceil(bands);
+                    let mut acc = Matrix::zeros(d, d);
+                    for start in (0..n).step_by(chunk) {
+                        let slab = a.row_block(start..(start + chunk).min(n));
+                        add_atb_banded(
+                            &slab.data,
+                            d,
+                            &slab.data,
+                            d,
+                            slab.rows,
+                            &mut acc.data,
+                            band_rows,
+                            true,
+                        );
+                    }
+                    acc.mirror_upper();
+                    assert_eq!(
+                        acc.as_slice(),
+                        full.as_slice(),
+                        "d={d} chunk={chunk} bands={bands}"
+                    );
+                }
+            }
+            let mut via_method = Matrix::zeros(d, d);
+            via_method.add_upper_gram(&a);
+            via_method.mirror_upper();
+            assert_eq!(
+                via_method.as_slice(),
+                full.as_slice(),
+                "d={d} add_upper_gram"
+            );
+        }
+    }
+
+    #[test]
     fn row_block_copies_the_requested_slab() {
         let mut rng = Rng::new(31);
         let a = random_matrix(&mut rng, 9, 4);
@@ -1569,13 +1794,59 @@ mod tests {
         let b = random_matrix(&mut rng, 10, 5);
         let chol = a.cholesky().expect("SPD");
         let x = chol.solve_matrix(&b).expect("shape");
-        // The transposed row-wise path must agree bit-for-bit with solving
+        // The all-right-hand-sides sweep must agree bit-for-bit with solving
         // each column independently.
         for j in 0..b.cols() {
             let col: Vec<f64> = (0..b.rows()).map(|i| b.get(i, j)).collect();
             let expected = chol.solve_vec(&col);
             for (i, &e) in expected.iter().enumerate() {
                 assert_eq!(x.get(i, j), e, "solve_matrix diverged at ({i},{j})");
+            }
+        }
+    }
+
+    /// The per-column substitution `solve_matrix` used to run, kept as the
+    /// oracle the all-right-hand-sides sweep must match bit for bit.
+    fn solve_column_oracle(chol: &Cholesky, b: &[f64]) -> Vec<f64> {
+        let n = chol.dim();
+        let l = chol.factor().as_slice();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            let mut sum = b[i];
+            for (lv, yk) in l[i * n..i * n + i].iter().zip(y.iter()) {
+                sum -= lv * yk;
+            }
+            y[i] = sum / l[i * n + i];
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let mut sum = y[i];
+            for (k, xk) in x.iter().enumerate().skip(i + 1) {
+                sum -= l[k * n + i] * xk;
+            }
+            x[i] = sum / l[i * n + i];
+        }
+        x
+    }
+
+    #[test]
+    fn all_rhs_substitution_matches_the_per_column_oracle() {
+        let mut rng = Rng::new(0xC401);
+        for (n, rhs) in [(1usize, 1usize), (40, 1), (40, 7), (85, 85), (130, 7)] {
+            let g = random_matrix(&mut rng, n, n);
+            let mut a = g.matmul(&g.transpose());
+            a.add_scaled_identity(0.5);
+            let chol = a.cholesky().expect("SPD");
+            let b = random_matrix(&mut rng, n, rhs);
+            let x = chol.solve_matrix(&b).expect("shape");
+            for j in 0..rhs {
+                let col: Vec<f64> = (0..n).map(|i| b.get(i, j)).collect();
+                let expected = solve_column_oracle(&chol, &col);
+                let got: Vec<f64> = (0..n).map(|i| x.get(i, j)).collect();
+                assert_eq!(got, expected, "n={n} rhs={rhs} column {j}");
+                if rhs == 1 {
+                    assert_eq!(chol.solve_vec(&col), expected, "n={n} solve_vec");
+                }
             }
         }
     }
@@ -1587,6 +1858,21 @@ mod tests {
             indefinite.cholesky(),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
+        // NaN compares false against every bound, so a NaN or infinite pivot
+        // must be rejected explicitly rather than yield a NaN factor.
+        for (data, pivot) in [
+            (vec![f64::NAN, 0.0, 0.0, 1.0], 0),
+            (vec![1.0, f64::NAN, f64::NAN, 1.0], 1),
+            (vec![f64::INFINITY, 0.0, 0.0, 1.0], 0),
+            (vec![1.0, 0.0, 0.0, f64::INFINITY], 1),
+        ] {
+            let m = Matrix::from_vec(2, 2, data.clone());
+            assert_eq!(
+                m.cholesky().map(|c| c.factor().clone()),
+                Err(LinalgError::NotPositiveDefinite { pivot_index: pivot }),
+                "{data:?}"
+            );
+        }
         let rect = Matrix::zeros(2, 3);
         assert!(matches!(
             rect.cholesky(),

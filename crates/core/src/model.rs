@@ -23,9 +23,10 @@
 //! kind and chunk size.
 
 use crate::error::ZslError;
-use crate::linalg::{solve_spd, LinalgError, Matrix};
+use crate::linalg::{solve_spd, Cholesky, LinalgError, Matrix};
 use crate::source::{FeatureSource, SplitKind};
 use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Errors from model training.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,12 +178,16 @@ impl EszslConfig {
 /// trained from a dataset that never exists in memory at once.
 ///
 /// Peak memory is `O(d² + d·a + chunk)` — independent of the number of
-/// samples. Because [`crate::linalg::Matrix::add_transposed_product`] adds
-/// into each Gram element in ascending sample order, folding consecutive row
+/// samples. Each chunk folds only the upper triangle of the symmetric `XᵀX`
+/// (half the multiply-adds); [`GramAccumulator::finish`] mirrors it into the
+/// full matrix. `XᵀYS` folds through
+/// [`crate::linalg::Matrix::add_transposed_product`]. Both kernels read the
+/// chunk row-major, run in row bands on the shared worker pool, and add into
+/// each Gram element in ascending sample order, so folding consecutive row
 /// chunks performs the *identical* floating-point operation sequence as
-/// [`EszslProblem::with_normalization`] on the concatenated matrix: the
-/// finished problem (and every model solved from it) is **bit-identical** to
-/// the in-memory path for every chunk size. The differential suite in
+/// `XᵀX` computed in one shot on the concatenated matrix: the finished
+/// problem (and every model solved from it) is **bit-identical** for every
+/// chunk size and thread count. The differential suite in
 /// `tests/streaming_equiv.rs` and a golden digest in
 /// `tests/golden_loader.rs` pin this.
 ///
@@ -210,7 +215,8 @@ pub struct GramAccumulator {
     signatures: Matrix,
     normalize_features: bool,
     /// Lazily sized on the first non-empty chunk, so streams whose feature
-    /// dimension is only discovered at read time (CSV) work too.
+    /// dimension is only discovered at read time (CSV) work too. Only the
+    /// upper triangle is current until [`GramAccumulator::finish`].
     xtx: Option<Matrix>,
     xtys: Option<Matrix>,
     /// Per-class row counts, folded alongside the Grams. Integer counting is
@@ -330,7 +336,7 @@ impl GramAccumulator {
             Cow::Borrowed(x)
         };
         let ys = gather_signatures(labels, &self.signatures);
-        xtx.add_transposed_product(&x, &x);
+        xtx.add_upper_gram(&x);
         xtys.add_transposed_product(&x, &ys);
         for &label in labels {
             self.class_counts[label] += 1.0;
@@ -339,14 +345,16 @@ impl GramAccumulator {
         Ok(())
     }
 
-    /// Finish the fold: compute `SᵀS` and hand back a regular
-    /// [`EszslProblem`], ready to [`EszslProblem::solve`] for any `(γ, λ)`.
-    /// An accumulator that never saw a sample is an error, matching the
-    /// in-memory trainer's empty-training-set rejection.
+    /// Finish the fold: mirror the `XᵀX` triangle into the full matrix,
+    /// compute `SᵀS` and hand back a regular [`EszslProblem`], ready to
+    /// [`EszslProblem::solve`] for any `(γ, λ)`. An accumulator that never
+    /// saw a sample is an error, matching the in-memory trainer's
+    /// empty-training-set rejection.
     pub fn finish(self) -> Result<EszslProblem, TrainError> {
-        let (Some(xtx), Some(xtys)) = (self.xtx, self.xtys) else {
+        let (Some(mut xtx), Some(xtys)) = (self.xtx, self.xtys) else {
             return Err(TrainError::Shape("empty training set".into()));
         };
+        xtx.mirror_upper();
         let sts = self.signatures.transpose().matmul(&self.signatures);
         Ok(EszslProblem { xtx, xtys, sts })
     }
@@ -411,17 +419,22 @@ impl EszslTrainer {
 /// Precomputed Gram matrices of one ESZSL training problem, independent of
 /// the regularizers.
 ///
-/// The closed form factors as `W = (XᵀX + γI)⁻¹ · XᵀYS · (SᵀS + λI)⁻¹`:
-/// everything except the two `+ γI` / `+ λI` shifts depends only on the data.
-/// Building the problem once and calling [`EszslProblem::solve`] per
-/// `(γ, λ)` pair turns a hyperparameter grid search (e.g. the k-fold
-/// cross-validation in [`crate::eval`]) from `O(grid · n·d²)` into
-/// `O(n·d² + grid · d³)` — the expensive `XᵀX` / `XᵀYS` products are paid
-/// once per fold, not once per grid point.
+/// The closed form factors as `W = M_γ · (SᵀS + λI)⁻¹` with the left half
+/// `M_γ = (XᵀX + γI)⁻¹ · XᵀYS`: everything except the two `+ γI` / `+ λI`
+/// shifts depends only on the data, and the left half depends on γ alone.
+/// A grid sweep (the ESZSL and kernel-ESZSL
+/// [`crate::trainer::Trainer::fit_grid`]) therefore factors the `d x d`
+/// system once per distinct γ and the `a x a` one once per distinct λ, and
+/// only joins the two per grid point. A `|γ| x |λ|` sweep (e.g. the k-fold
+/// cross-validation in [`crate::eval`]) costs
+/// `O(n·d² + |γ|·d³ + |λ|·a³ + grid·d·a²)` instead of
+/// `O(grid · (n·d² + d³))`: the `XᵀX` / `XᵀYS` products are paid once per
+/// fold and each `d x d` factorization once per γ.
 ///
-/// `solve` performs the identical floating-point operation sequence as
-/// [`EszslTrainer::train`], so results are bit-identical to the one-shot
-/// path (the golden tests pin this).
+/// Every model comes out of the same left-half, right-half and join
+/// operations whether it is solved alone ([`EszslProblem::solve`],
+/// [`EszslTrainer::train`]) or as part of a grid, so all of them are
+/// bit-identical (the golden and differential suites pin this).
 #[derive(Clone, Debug)]
 pub struct EszslProblem {
     /// `Xᵀ X : d x d`, unshifted.
@@ -556,17 +569,57 @@ impl EszslProblem {
     pub fn solve(&self, gamma: f64, lambda: f64) -> Result<ProjectionModel, TrainError> {
         validate_regularizer("gamma", gamma)?;
         validate_regularizer("lambda", lambda)?;
+        let m = self.left_half(gamma)?;
+        Self::join(&m, &self.right_half(lambda)?)
+    }
 
-        // Left SPD system: (Xᵀ X + γI) M = Xᵀ (Y S).
+    /// Solve every `(γ, λ)` point, in order, sharing each half between the
+    /// points that need it: the left half is computed once per distinct γ
+    /// and the right half factored once per distinct λ (keyed on their bit
+    /// patterns, so any grid order works). Each model is bit-identical to
+    /// [`EszslProblem::solve`] at its point, and the first failing point
+    /// reports the error that `solve` would.
+    pub(crate) fn solve_grid(
+        &self,
+        points: &[(f64, f64)],
+    ) -> Result<Vec<ProjectionModel>, TrainError> {
+        let mut lefts: HashMap<u64, Matrix> = HashMap::new();
+        let mut rights: HashMap<u64, Cholesky> = HashMap::new();
+        points
+            .iter()
+            .map(|&(gamma, lambda)| {
+                validate_regularizer("gamma", gamma)?;
+                validate_regularizer("lambda", lambda)?;
+                let m = match lefts.entry(gamma.to_bits()) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(self.left_half(gamma)?),
+                };
+                let right = match rights.entry(lambda.to_bits()) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => e.insert(self.right_half(lambda)?),
+                };
+                Self::join(m, right)
+            })
+            .collect()
+    }
+
+    /// Left half for one γ: solve `(XᵀX + γI) M = XᵀYS` for `M : d x a`.
+    fn left_half(&self, gamma: f64) -> Result<Matrix, TrainError> {
         let mut xtx = self.xtx.clone();
         xtx.add_scaled_identity(gamma);
-        let m = solve_spd(&xtx, &self.xtys)?;
+        Ok(solve_spd(&xtx, &self.xtys)?)
+    }
 
-        // Right SPD system: W (Sᵀ S + λI) = M  ⇔  (Sᵀ S + λI) Wᵀ = Mᵀ.
+    /// Right half for one λ: the Cholesky factor of `SᵀS + λI`.
+    fn right_half(&self, lambda: f64) -> Result<Cholesky, TrainError> {
         let mut sts = self.sts.clone();
         sts.add_scaled_identity(lambda);
-        let wt = solve_spd(&sts, &m.transpose())?;
+        Ok(sts.cholesky()?)
+    }
 
+    /// Join the halves: `W (SᵀS + λI) = M  ⇔  (SᵀS + λI) Wᵀ = Mᵀ`.
+    fn join(m: &Matrix, right: &Cholesky) -> Result<ProjectionModel, TrainError> {
+        let wt = right.solve_matrix(&m.transpose())?;
         Ok(ProjectionModel::from_weights(wt.transpose()))
     }
 }
@@ -958,6 +1011,26 @@ mod tests {
             bad.fit(&ds),
             Err(ZslError::Train(TrainError::InvalidConfig(_)))
         ));
+    }
+
+    #[test]
+    fn fit_rejects_non_finite_features_with_a_typed_solver_error() {
+        let ds = SyntheticConfig::new().seed(8).build();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut x = ds.train_x.clone();
+            x.set(3, 2, bad);
+            let source =
+                crate::source::MemorySource::new(&x, &ds.train_labels, &ds.seen_signatures);
+            assert!(
+                matches!(
+                    EszslConfig::new().build().fit(&source),
+                    Err(ZslError::Train(TrainError::Solver(
+                        LinalgError::NotPositiveDefinite { .. }
+                    )))
+                ),
+                "feature {bad} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -390,10 +390,11 @@ impl Trainer for EszslTrainer {
             acc.fold(&x, &labels)?;
         }
         let problem = acc.finish().map_err(ZslError::from)?;
-        points
-            .iter()
-            .map(|&(gamma, lambda)| Ok(TrainedModel::Eszsl(problem.solve(gamma, lambda)?)))
-            .collect()
+        Ok(problem
+            .solve_grid(points)?
+            .into_iter()
+            .map(TrainedModel::Eszsl)
+            .collect())
     }
 
     fn grid_points(&self, gammas: &[f64], lambdas: &[f64]) -> Vec<(f64, f64)> {
@@ -845,10 +846,10 @@ impl Trainer for KernelEszslTrainer {
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
         let (problem, anchors) = self.kernel_problem(source, Some(subset))?;
-        points
-            .iter()
-            .map(|&(gamma, lambda)| {
-                let alpha = problem.solve(gamma, lambda)?;
+        problem
+            .solve_grid(points)?
+            .into_iter()
+            .map(|alpha| {
                 Ok(TrainedModel::Kernel(KernelModel::from_parts(
                     alpha.into_weights(),
                     anchors.clone(),

@@ -622,3 +622,90 @@ fn chunked_streaming_throughput() {
         w.n as f64 / t_chunked
     );
 }
+
+#[test]
+#[ignore = "timing harness; run with --release -- --ignored --nocapture"]
+fn training_stage_timing() {
+    // The two ESZSL training stages on their own: the Gram fold (`XᵀX` and
+    // `XᵀYS` folded in 512-row chunks) at the ESZSL feature width and at the
+    // kernel family's anchor count, then a default-sized 7x7 `fit_grid`.
+    // Named to sort after the per-trainer test, whose JSON snapshot this
+    // test extends with one `"stages"` line.
+    const A: usize = 85;
+    const Z: usize = 40;
+    const CHUNK: usize = 512;
+    let (fold_rows, grid_rows, iters) = if smoke() {
+        ([(256, 1024), (1000, 256)], 1024, 1)
+    } else {
+        ([(256, 8192), (1000, 2048)], 8192, 3)
+    };
+    let mut rng = Rng::new(0x57A6);
+    let signatures = random_matrix(&mut rng, Z, A);
+    let labels_for = |n: usize| -> Vec<usize> { (0..n).map(|i| i % Z).collect() };
+
+    let mut fold_entries = Vec::new();
+    for (d, n) in fold_rows {
+        let x = random_matrix(&mut rng, n, d);
+        let labels = labels_for(n);
+        let (t_fold, problem) = time_best(iters, || {
+            let mut acc = GramAccumulator::new(&signatures);
+            for start in (0..n).step_by(CHUNK) {
+                let end = (start + CHUNK).min(n);
+                acc.fold(&x.row_block(start..end), &labels[start..end])
+                    .expect("fold");
+            }
+            acc.finish().expect("finish")
+        });
+        assert_eq!(problem.feature_dim(), d);
+        println!(
+            "[bench] gram-fold d={d} a={A} n={n} chunk_rows={CHUNK}: {t_fold:.4}s ({:.0} rows/s)",
+            n as f64 / t_fold
+        );
+        fold_entries.push(format!(
+            "{{ \"d\": {d}, \"n\": {n}, \"s\": {t_fold:.6}, \"rows_per_s\": {:.0} }}",
+            n as f64 / t_fold
+        ));
+    }
+
+    let d = 256;
+    let x = random_matrix(&mut rng, grid_rows, d);
+    let labels = labels_for(grid_rows);
+    let source = zsl_core::MemorySource::new(&x, &labels, &signatures);
+    let subset: Vec<usize> = (0..grid_rows).collect();
+    let powers: Vec<f64> = (-3..=3).map(|p| 10f64.powi(p)).collect();
+    let trainer = EszslConfig::new().build();
+    let points = trainer.grid_points(&powers, &powers);
+    let (t_grid, models) = time_best(iters, || {
+        trainer
+            .fit_grid(&source, &subset, &points)
+            .expect("fit_grid")
+    });
+    assert_eq!(models.len(), points.len());
+    println!(
+        "[bench] eszsl-grid d={d} a={A} n={grid_rows} grid={}x{}: {t_grid:.4}s",
+        powers.len(),
+        powers.len()
+    );
+
+    if let Ok(json_path) = std::env::var("ZSL_BENCH_JSON") {
+        let entry = format!(
+            "  ,\"stages\": {{ \"gram_fold\": [{}], \"eszsl_grid\": {{ \"d\": {d}, \"n\": {grid_rows}, \
+             \"points\": {}, \"s\": {t_grid:.6} }} }}",
+            fold_entries.join(", "),
+            points.len()
+        );
+        let doc = std::fs::read_to_string(&json_path)
+            .unwrap_or_else(|_| "{\n  \"bench\": \"core-trainers\"\n}\n".to_string());
+        let mut lines: Vec<&str> = doc
+            .lines()
+            .filter(|l| !l.trim_start().starts_with(",\"stages\""))
+            .collect();
+        let close = lines
+            .iter()
+            .rposition(|l| l.trim() == "}")
+            .expect("snapshot has a closing brace");
+        lines.insert(close, &entry);
+        std::fs::write(&json_path, lines.join("\n") + "\n").expect("write bench json");
+        println!("[bench] merged stages into {json_path}");
+    }
+}

@@ -23,9 +23,9 @@ use std::path::PathBuf;
 use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, StreamingBundle};
 use zsl_core::eval::{cross_validate_with, select_train_evaluate_with, CrossValConfig};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
-use zsl_core::model::EszslConfig;
+use zsl_core::model::{EszslConfig, EszslProblem};
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, TrainedModel, Trainer};
-use zsl_core::{evaluate_gzsl_with, Dataset, SyntheticConfig};
+use zsl_core::{evaluate_gzsl_with, Dataset, MemorySource, SyntheticConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_trainer_equiv_{}_{tag}", std::process::id()))
@@ -124,6 +124,47 @@ fn every_family_is_chunk_invariant_and_matches_in_memory() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn grid_fits_equal_per_point_solves_on_unsorted_grids_with_a_repeated_gamma() {
+    // `fit_grid` shares one left half per γ and one right factor per λ; each
+    // model must still equal the single-point solve bit for bit, whatever
+    // the grid order and however often a value repeats.
+    let ds = synthetic_dataset();
+    let n = ds.train_x.rows();
+    let subset: Vec<usize> = (0..n).rev().filter(|p| p % 3 != 1).collect();
+    let x = ds.train_x.gather_rows(&subset);
+    let labels: Vec<usize> = subset.iter().map(|&p| ds.train_labels[p]).collect();
+    let fold = MemorySource::new(&x, &labels, &ds.seen_signatures);
+    let mut points = Vec::new();
+    for gamma in [1.0, 0.1, 1.0] {
+        for lambda in [2.0, 0.5, 10.0] {
+            points.push((gamma, lambda));
+        }
+    }
+    for (tag, trainer) in trainers() {
+        if tag == "sae" {
+            continue;
+        }
+        let grid = trainer.fit_grid(&ds, &subset, &points).expect("grid");
+        assert_eq!(grid.len(), points.len(), "{tag}");
+        for (model, &(gamma, lambda)) in grid.iter().zip(&points) {
+            let single = trainer.with_point(gamma, lambda).fit(&fold).expect("fit");
+            assert_same_model(model, &single, &format!("{tag} γ={gamma} λ={lambda}"));
+            if tag == "eszsl" {
+                let solved = EszslProblem::from_source(&fold)
+                    .expect("problem")
+                    .solve(gamma, lambda)
+                    .expect("solve");
+                assert_eq!(
+                    model.projection().expect("linear").weights().as_slice(),
+                    solved.weights().as_slice(),
+                    "eszsl γ={gamma} λ={lambda}: EszslProblem::solve"
+                );
+            }
+        }
+    }
 }
 
 #[test]
