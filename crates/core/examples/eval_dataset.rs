@@ -339,9 +339,7 @@ fn main() -> ExitCode {
                     "selected gamma={} lambda={} (val acc {:.4})",
                     cv.best.gamma, cv.best.lambda, cv.best.mean_accuracy
                 );
-                if let Some(trainer) = trained.trainer() {
-                    println!("model: {}", trainer.describe());
-                }
+                println!("model: {}", trained.trainer().describe());
                 println!();
                 if let Some(path) = &save_to {
                     if let Err(e) = trained.save(path) {

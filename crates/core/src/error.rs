@@ -4,7 +4,7 @@
 //! from the loaders, [`TrainError`] from the trainers, [`LinalgError`] from
 //! the factorizations — and callers gluing stages together had to thread a
 //! different error type through each seam. The generic entry points
-//! ([`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
+//! ([`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate_with`],
 //! [`crate::model::EszslTrainer::fit`], every [`crate::trainer::Trainer`]
 //! impl, the [`crate::pipeline::Pipeline`] facade, and the `.zsm` model
 //! artifacts) all return one [`ZslError`] instead.

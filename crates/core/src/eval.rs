@@ -9,14 +9,16 @@
 //!    a [`GzslReport`] — seen accuracy, unseen accuracy, their harmonic mean,
 //!    and per-class breakdowns. [`evaluate_gzsl_with`] is the serving-path
 //!    variant that takes an already-built (e.g. `.zsm`-loaded) engine.
-//! 2. [`cross_validate`] selects `(γ, λ)` **before** the unseen evaluation:
-//!    a seeded k-fold split of the source's trainval samples, a grid sweep
-//!    paying each fold's sufficient statistics once (not once per grid
-//!    point), and mean per-class validation accuracy per grid point. Fully
-//!    deterministic for a fixed seed.
+//! 2. [`cross_validate_with`] selects `(γ, λ)` **before** the unseen
+//!    evaluation: a seeded k-fold split of the source's trainval samples, a
+//!    grid sweep of any [`Trainer`] (`&dyn` — ESZSL, SAE, kernelized ESZSL,
+//!    or a custom impl) paying each fold's sufficient statistics once (not
+//!    once per grid point) through [`Trainer::fit_grid`], and mean per-class
+//!    validation accuracy per grid point. Fully deterministic for a fixed
+//!    seed.
 //!
-//! [`select_train_evaluate`] chains the two: cross-validate on trainval,
-//! retrain with the winning pair, report GZSL numbers.
+//! [`crate::pipeline::Pipeline`] chains the two: cross-validate on trainval,
+//! refit with the winning pair, report GZSL numbers.
 //!
 //! Every entry point is ONE generic function over [`FeatureSource`]: a
 //! materialized [`crate::data::Dataset`] lends its matrices as single borrowed chunks, a
@@ -25,21 +27,13 @@
 //! [`crate::source::MemorySource`] wraps bare matrices. Because every source
 //! flows through the same fold/score/count code path — integral accuracy
 //! counting, ascending-row Gram folds — reports are **bit-identical** across
-//! sources and chunk sizes, which `tests/streaming_equiv.rs` pins.
-//!
-//! Both selection entry points are also generic over the **model family**:
-//! [`cross_validate_with`] / [`select_train_evaluate_with`] take any
-//! [`Trainer`] (`&dyn` — ESZSL, SAE, kernelized ESZSL, or a custom impl) and
-//! drive the identical fold/score/count protocol through
-//! [`Trainer::fit_grid`]. The trainer-less functions are thin wrappers fixing
-//! the trainer to ESZSL, which preserves their pre-trainer results bit for
-//! bit (`tests/trainer_equiv.rs` pins that too).
+//! sources and chunk sizes, which `tests/streaming_equiv.rs` and
+//! `tests/trainer_equiv.rs` pin.
 
 use crate::data::Rng;
 use crate::error::ZslError;
 use crate::infer::{harmonic_mean, mean_defined, ClassAccuracyCounter, ScoringEngine, Similarity};
-use crate::model::EszslConfig;
-use crate::source::{DynSource, FeatureSource, SplitKind};
+use crate::source::{FeatureSource, SplitKind};
 use crate::trainer::{TrainedModel, Trainer};
 use std::sync::Arc;
 
@@ -179,7 +173,7 @@ pub fn evaluate_gzsl_with<S: FeatureSource + ?Sized>(
     })
 }
 
-/// Builder-style configuration for [`cross_validate`].
+/// Builder-style configuration for [`cross_validate_with`].
 #[derive(Clone, Debug)]
 pub struct CrossValConfig {
     /// Candidate feature-space regularizers γ.
@@ -190,17 +184,10 @@ pub struct CrossValConfig {
     pub folds: usize,
     /// Seed of the fold-assignment shuffle; fully determines the result.
     pub seed: u64,
-    /// Similarity used for validation scoring.
+    /// Similarity used for validation scoring. Feature and signature
+    /// normalization belong to the [`Trainer`] being swept, so the sweep and
+    /// the final fit always preprocess alike.
     pub similarity: Similarity,
-    /// L2-normalize training feature rows inside each fold — set this to
-    /// match the [`EszslConfig`] the winning `(γ, λ)` will be fitted with,
-    /// so the sweep selects hyperparameters for the model actually trained.
-    /// [`crate::pipeline::Pipeline::cross_validate`] wires this up
-    /// automatically.
-    pub normalize_features: bool,
-    /// L2-normalize signature rows inside each fold's training problem
-    /// (mirroring [`EszslConfig::normalize_signatures`]).
-    pub normalize_signatures: bool,
     /// Candidate calibrated-stacking penalties `γ_cal` (the seen-class score
     /// penalty applied at scoring time; see
     /// [`ScoringEngine::with_calibration`]).
@@ -228,8 +215,6 @@ impl Default for CrossValConfig {
             folds: 3,
             seed: 0x5EED,
             similarity: Similarity::Cosine,
-            normalize_features: false,
-            normalize_signatures: false,
             calibrations: vec![0.0],
         }
     }
@@ -268,19 +253,6 @@ impl CrossValConfig {
     /// Set the validation similarity.
     pub fn similarity(mut self, similarity: Similarity) -> Self {
         self.similarity = similarity;
-        self
-    }
-
-    /// Toggle L2 normalization of training feature rows inside each fold.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Toggle L2 normalization of signature rows inside each fold's training
-    /// problem.
-    pub fn normalize_signatures(mut self, on: bool) -> Self {
-        self.normalize_signatures = on;
         self
     }
 
@@ -326,40 +298,19 @@ pub struct CrossValReport {
     pub folds: usize,
 }
 
-/// Seeded k-fold cross-validated grid search over `(γ, λ)` on the trainval
-/// split of any [`FeatureSource`].
+/// Seeded k-fold cross-validated grid search of `trainer`'s `(γ, λ)` grid on
+/// the trainval split of any [`FeatureSource`].
 ///
 /// Sample positions are shuffled once with [`Rng`] (Fisher–Yates, seeded by
-/// `config.seed`) and cut into `k` contiguous folds; each fold's Gram
-/// matrices are paid once, every grid point is solved up front, and the
-/// held-out fold's rows stream ONCE past *all* grid-point engines, scored
-/// against the full seen-class signature bank and summarized as mean
-/// per-class accuracy. Identical configuration + seed ⇒ identical report,
-/// regardless of source kind, chunk size, or thread count.
+/// `config.seed`) and cut into `k` contiguous folds, balanced to within one
+/// sample. Per fold, [`Trainer::fit_grid`] pays the trainer's sufficient
+/// statistics once and solves every grid point; the held-out fold's rows
+/// then stream ONCE past *all* grid-point engines, scored against the
+/// seen-class signature bank and summarized as mean per-class accuracy.
+/// Identical configuration + seed + trainer ⇒ identical report, regardless
+/// of source kind, chunk size, or thread count.
 ///
-/// To sweep bare matrices (the pre-PR 5 four-argument form), wrap them in a
-/// [`crate::source::MemorySource`]. To sweep a different model family, use
-/// [`cross_validate_with`]; this function fixes the trainer to ESZSL with the
-/// config's normalization toggles, reproducing its pre-trainer results bit
-/// for bit.
-pub fn cross_validate<S: FeatureSource + ?Sized>(
-    source: &S,
-    config: &CrossValConfig,
-) -> Result<CrossValReport, ZslError> {
-    cross_validate_with(&default_eszsl_trainer(config), &DynSource(source), config)
-}
-
-/// [`cross_validate`] generic over the model family: a seeded k-fold
-/// cross-validated sweep of `trainer`'s grid over the trainval split.
-///
-/// Per fold, [`Trainer::fit_grid`] pays the trainer's sufficient statistics
-/// once and solves every grid point; the held-out fold's rows then stream
-/// ONCE past *all* grid-point engines, scored against the seen-class bank and
-/// summarized as mean per-class accuracy. The fold protocol (seeded
-/// Fisher–Yates shuffle, contiguous folds balanced to within one sample) and
-/// the report assembly are byte-for-byte the ones the ESZSL-only sweep always
-/// used — identical configuration + seed + trainer ⇒ identical report,
-/// regardless of source kind, chunk size, or thread count.
+/// To sweep bare matrices, wrap them in a [`crate::source::MemorySource`].
 pub fn cross_validate_with(
     trainer: &dyn Trainer,
     source: &dyn FeatureSource,
@@ -504,16 +455,6 @@ pub fn cross_validate_with(
     ))
 }
 
-/// The trainer the trainer-less entry points always used: ESZSL with the
-/// config's normalization toggles (its own γ/λ are irrelevant — the sweep
-/// supplies them).
-fn default_eszsl_trainer(config: &CrossValConfig) -> crate::model::EszslTrainer {
-    EszslConfig::new()
-        .normalize_features(config.normalize_features)
-        .normalize_signatures(config.normalize_signatures)
-        .build()
-}
-
 /// Shared configuration checks for the cross-validation sweep.
 fn validate_cv_shape(config: &CrossValConfig, n: usize) -> Result<(), ZslError> {
     if config.folds < 2 {
@@ -594,52 +535,22 @@ fn assemble_cross_val_report(
     }
 }
 
-/// The full experiment protocol over any [`FeatureSource`]: cross-validate
-/// `(γ, λ)` on the trainval split, retrain on all of it with the winner, and
-/// evaluate GZSL.
-///
-/// This is the path the [`crate::pipeline::Pipeline`] facade and the
-/// `eval_dataset` example drive, and the one the round-trip acceptance test
-/// pins: the same source always yields the same
-/// `(CrossValReport, GzslReport)` pair for a fixed config — bit-identical
-/// whether the source is materialized or streamed from disk.
-pub fn select_train_evaluate<S: FeatureSource + ?Sized>(
-    source: &S,
-    config: &CrossValConfig,
-) -> Result<(CrossValReport, GzslReport), ZslError> {
-    select_train_evaluate_with(&default_eszsl_trainer(config), &DynSource(source), config)
-}
-
-/// [`select_train_evaluate`] generic over the model family: cross-validate
-/// `trainer`'s grid, refit on the full trainval split at the winning point
-/// ([`Trainer::with_point`]), and evaluate GZSL. This is the one protocol
-/// every family runs — `tests/trainer_equiv.rs` pins that SAE and kernelized
-/// ESZSL flow through it with the same determinism guarantees as ESZSL.
-pub fn select_train_evaluate_with(
-    trainer: &dyn Trainer,
-    source: &dyn FeatureSource,
-    config: &CrossValConfig,
-) -> Result<(CrossValReport, GzslReport), ZslError> {
-    let cv = cross_validate_with(trainer, source, config)?;
-    // The final fit applies the same normalization the sweep selected under;
-    // the winning γ_cal (0 on an uncalibrated sweep, leaving the engine
-    // untouched) penalizes the union bank's seen prefix during evaluation.
-    let model = trainer
-        .with_point(cv.best.gamma, cv.best.lambda)
-        .fit(source)?;
-    let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)?
-        .with_calibration(cv.best.calibration, source.num_seen_classes())?;
-    let report = evaluate_gzsl_with(&engine, source)?;
-    Ok((cv, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{Dataset, SyntheticConfig};
     use crate::infer::{mean_per_class_accuracy, per_class_accuracy};
-    use crate::model::{ProjectionModel, TrainError};
+    use crate::model::{EszslConfig, EszslTrainer, ProjectionModel, TrainError};
+    use crate::pipeline::Pipeline;
     use crate::source::MemorySource;
+
+    /// The default ESZSL sweep every plain cross-validation runs.
+    fn cross_validate(
+        source: &dyn FeatureSource,
+        config: &CrossValConfig,
+    ) -> Result<CrossValReport, ZslError> {
+        cross_validate_with(&EszslTrainer::default(), source, config)
+    }
 
     fn trained_dataset() -> (ProjectionModel, Dataset) {
         let ds = SyntheticConfig::new().seed(99).build();
@@ -791,9 +702,14 @@ mod tests {
             .gammas(vec![0.1, 1.0])
             .lambdas(vec![0.1, 1.0])
             .folds(3);
-        let (cv, report) = select_train_evaluate(&ds, &config).expect("experiment");
+        let trained = Pipeline::from(&ds)
+            .cross_validate(&config)
+            .expect("cv")
+            .train()
+            .expect("train");
+        let cv = trained.cv_report().expect("cv report");
         assert!(cv.best.mean_accuracy > 0.9);
-        assert!(report.harmonic_mean > 0.9);
+        assert!(trained.evaluate().expect("evaluate").harmonic_mean > 0.9);
     }
 
     #[test]

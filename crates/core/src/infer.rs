@@ -7,9 +7,9 @@
 //! [`ScoringEngine::scores_chunked`] streams scores chunk-by-chunk so
 //! million-sample workloads never materialize one giant score matrix.
 //!
-//! [`Classifier`] is a thin compatibility wrapper over the engine. Evaluation
-//! helpers cover the standard ZSL protocol (mean per-class accuracy) and the
-//! generalized protocol (harmonic mean of seen and unseen accuracy).
+//! Evaluation helpers cover the standard ZSL protocol (mean per-class
+//! accuracy) and the generalized protocol (harmonic mean of seen and unseen
+//! accuracy).
 //!
 //! For large class counts the bank can additionally be split into
 //! [`BankShards`] — contiguous row bands scored independently and folded
@@ -1125,78 +1125,11 @@ impl Ord for Cand {
     }
 }
 
-/// Scores projected features against a fixed bank of class signatures.
-///
-/// Thin wrapper over [`ScoringEngine`], kept as the stable high-level API;
-/// construction performs the same validation and bank caching.
-#[derive(Clone, Debug)]
-pub struct Classifier {
-    engine: ScoringEngine,
-}
-
-impl Classifier {
-    /// Build a classifier over `signatures` (`num_classes x attr_dim`).
-    /// Panics under the same conditions as [`ScoringEngine::new`].
-    pub fn new(model: impl Into<TrainedModel>, signatures: Matrix, similarity: Similarity) -> Self {
-        Classifier {
-            engine: ScoringEngine::new(model, signatures, similarity),
-        }
-    }
-
-    /// Fallible [`Classifier::new`]: construction failures are typed
-    /// [`ZslError::Config`] values, mirroring [`ScoringEngine::try_new`].
-    pub fn try_new(
-        model: impl Into<TrainedModel>,
-        signatures: Matrix,
-        similarity: Similarity,
-    ) -> Result<Self, ZslError> {
-        Ok(Classifier {
-            engine: ScoringEngine::try_new(model, signatures, similarity)?,
-        })
-    }
-
-    /// Number of candidate classes.
-    pub fn num_classes(&self) -> usize {
-        self.engine.num_classes()
-    }
-
-    /// The underlying trained model (any family).
-    pub fn model(&self) -> &TrainedModel {
-        self.engine.model()
-    }
-
-    /// The scoring engine backing this classifier.
-    pub fn engine(&self) -> &ScoringEngine {
-        &self.engine
-    }
-
-    /// Consume the wrapper, keeping the engine.
-    pub fn into_engine(self) -> ScoringEngine {
-        self.engine
-    }
-
-    /// Full score matrix: `n_samples x num_classes`.
-    pub fn scores(&self, x: &Matrix) -> Matrix {
-        self.engine.scores(x)
-    }
-
-    /// Argmax prediction per sample. See [`ScoringEngine::predict`] for the
-    /// NaN-score semantics.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        self.engine.predict(x)
-    }
-
-    /// Best-`k` ranked predictions per sample (`k` clamped to the class count).
-    pub fn predict_topk(&self, x: &Matrix, k: usize) -> Vec<TopK> {
-        self.engine.predict_topk(x, k)
-    }
-}
-
 /// The ONE construction-time validation behind every engine constructor:
 /// empty, zero-width, or non-finite signature banks and attribute-dimension
 /// mismatches are reported as an error message. The panicking constructors
-/// ([`ScoringEngine::new`], [`Classifier::new`]) turn the message into a
-/// panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm` loader)
+/// ([`ScoringEngine::new`], [`ScoringEngine::with_threads`]) turn the message
+/// into a panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm` loader)
 /// turn it into a typed error.
 fn check_engine_parts(
     model: &TrainedModel,
@@ -1389,10 +1322,10 @@ mod tests {
     use crate::model::ProjectionModel;
 
     /// Identity projection over 2-dim "attributes" with two orthogonal classes.
-    fn toy_classifier(similarity: Similarity) -> Classifier {
+    fn toy_classifier(similarity: Similarity) -> ScoringEngine {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let signatures = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        Classifier::new(model, signatures, similarity)
+        ScoringEngine::new(model, signatures, similarity)
     }
 
     #[test]
@@ -1443,14 +1376,14 @@ mod tests {
     #[should_panic(expected = "at least one class signature")]
     fn classifier_rejects_empty_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
-        Classifier::new(model, Matrix::zeros(0, 2), Similarity::Cosine);
+        ScoringEngine::new(model, Matrix::zeros(0, 2), Similarity::Cosine);
     }
 
     #[test]
     #[should_panic(expected = "zero-width")]
     fn classifier_rejects_zero_width_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::zeros(2, 0));
-        Classifier::new(model, Matrix::zeros(3, 0), Similarity::Cosine);
+        ScoringEngine::new(model, Matrix::zeros(3, 0), Similarity::Cosine);
     }
 
     #[test]
@@ -1458,7 +1391,7 @@ mod tests {
     fn classifier_rejects_nan_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, f64::NAN]]);
-        Classifier::new(model, bank, Similarity::Cosine);
+        ScoringEngine::new(model, bank, Similarity::Cosine);
     }
 
     #[test]
@@ -1466,7 +1399,7 @@ mod tests {
     fn classifier_rejects_infinity_in_signature_bank() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, f64::INFINITY]]);
-        Classifier::new(model, bank, Similarity::Dot);
+        ScoringEngine::new(model, bank, Similarity::Dot);
     }
 
     #[test]
@@ -1490,7 +1423,7 @@ mod tests {
         // `>` results.
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let clf = Classifier::new(model, bank, Similarity::Dot);
+        let clf = ScoringEngine::new(model, bank, Similarity::Dot);
         let x = Matrix::from_rows(&[vec![1.0, f64::NAN], vec![0.0, 1.0]]);
         let scores = clf.scores(&x);
         assert!(
@@ -1553,7 +1486,7 @@ mod tests {
     fn single_class_bank_always_predicts_class_zero() {
         let model = ProjectionModel::from_weights(Matrix::identity(2));
         let bank = Matrix::from_rows(&[vec![0.3, 0.7]]);
-        let clf = Classifier::new(model, bank, Similarity::Cosine);
+        let clf = ScoringEngine::new(model, bank, Similarity::Cosine);
         let x = Matrix::from_rows(&[vec![5.0, -1.0], vec![-2.0, 0.4]]);
         assert_eq!(clf.predict(&x), vec![0, 0]);
         let ranked = clf.predict_topk(&x, 4);

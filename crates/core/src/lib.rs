@@ -48,9 +48,9 @@
 //!    here, hermetic synthetic features from [`data::SyntheticConfig`] or
 //!    on-disk bundles).
 //! 2. **Projection** — [`model::EszslTrainer`] solves the closed form
-//!    `W = (XᵀX + γI)⁻¹ XᵀYS (SᵀS + λI)⁻¹` on seen classes
-//!    ([`model::RidgeTrainer`] is the simpler fallback). `X W` lands samples
-//!    in attribute space.
+//!    `W = (XᵀX + γI)⁻¹ XᵀYS (SᵀS + λI)⁻¹` on seen classes (SAE and
+//!    kernelized ESZSL plug in through the same [`Trainer`]). `X W` lands
+//!    samples in attribute space.
 //! 3. **Class** — [`infer::ScoringEngine`] scores projected samples against a
 //!    bank of class signatures (cosine or dot similarity) and picks the
 //!    nearest; unseen classes are classified purely via their signatures.
@@ -66,7 +66,7 @@
 //! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
 //! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
 //! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb`/CSV feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`] (CSV gets shuffled reads via [`data::CsvLineIndex`]) |
-//! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation ([`eval::cross_validate`]) over any source |
+//! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation of any [`Trainer`] ([`eval::cross_validate_with`]) over any source |
 //! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
 //! Errors across the pipeline unify into the top-level [`ZslError`], which
@@ -76,7 +76,7 @@
 //!
 //! ```
 //! use zsl_core::data::SyntheticConfig;
-//! use zsl_core::infer::{mean_per_class_accuracy, Classifier, Similarity};
+//! use zsl_core::infer::{mean_per_class_accuracy, ScoringEngine, Similarity};
 //! use zsl_core::model::EszslConfig;
 //!
 //! let ds = SyntheticConfig::new().classes(20, 4).seed(7).build();
@@ -86,8 +86,8 @@
 //!     .build()
 //!     .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
 //!     .unwrap();
-//! let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-//! let predictions = clf.predict(&ds.test_unseen_x);
+//! let engine = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+//! let predictions = engine.predict(&ds.test_unseen_x);
 //! let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 4);
 //! assert!(acc > 0.9);
 //! ```
@@ -113,23 +113,22 @@ pub use data::{
 };
 pub use error::ZslError;
 pub use eval::{
-    cross_validate, cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, select_train_evaluate,
-    select_train_evaluate_with, CrossValConfig, CrossValReport, GridPoint, GzslReport,
+    cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig, CrossValReport,
+    GridPoint, GzslReport,
 };
 pub use infer::{
     harmonic_mean, mean_per_class_accuracy, overall_accuracy, per_class_accuracy, BankShards,
-    BankView, ClassAccuracyCounter, Classifier, ScoringEngine, ScoringPrecision, Similarity, TopK,
+    BankView, ClassAccuracyCounter, ScoringEngine, ScoringPrecision, Similarity, TopK,
 };
 pub use linalg::{
     default_threads, pool_threads, solve_spd, solve_sylvester, Cholesky, LinalgError, Matrix,
     SymmetricEigen,
 };
 pub use model::{
-    EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, RidgeConfig,
-    RidgeTrainer, TrainError,
+    EszslConfig, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
 pub use pipeline::{Pipeline, TrainedPipeline};
-pub use source::{DynSource, FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};
+pub use source::{FeatureSource, MemorySource, SourceChunk, SourceStream, SplitKind};
 pub use trainer::{
     KernelEszslConfig, KernelEszslTrainer, KernelKind, KernelModel, ModelFamily, SaeConfig,
     SaeTrainer, TrainedModel, Trainer,

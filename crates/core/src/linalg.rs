@@ -909,8 +909,8 @@ impl Matrix {
     /// Uses an `i-k-j` inner ordering over `BLOCK`-sized tiles so that the
     /// innermost loop streams contiguously over a row of `other` and a row of
     /// the output — the access pattern that keeps this kernel bandwidth-bound
-    /// instead of latency-bound. Verified against [`Matrix::matmul_naive`] in
-    /// the test suite.
+    /// instead of latency-bound. Verified against a textbook triple-loop
+    /// oracle in the unit tests.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -1107,23 +1107,6 @@ impl Matrix {
             );
             out.data[dst * self.cols..(dst + 1) * self.cols]
                 .copy_from_slice(&self.data[src * self.cols..(src + 1) * self.cols]);
-        }
-        out
-    }
-
-    /// Textbook triple-loop product. Kept as the oracle the blocked kernel is
-    /// tested against; do not use on hot paths.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for j in 0..other.cols {
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += self.data[i * self.cols + k] * other.data[k * other.cols + j];
-                }
-                out.data[i * other.cols + j] = acc;
-            }
         }
         out
     }
@@ -1462,6 +1445,23 @@ mod tests {
     use super::*;
     use crate::data::Rng;
 
+    /// Textbook triple-loop product: the oracle the blocked kernel is tested
+    /// against.
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+        let mut out = Matrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for j in 0..b.cols {
+                let mut acc = 0.0;
+                for k in 0..a.cols {
+                    acc += a.data[i * a.cols + k] * b.data[k * b.cols + j];
+                }
+                out.data[i * b.cols + j] = acc;
+            }
+        }
+        out
+    }
+
     fn random_matrix(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
         let data = (0..rows * cols).map(|_| rng.normal()).collect();
         Matrix::from_vec(rows, cols, data)
@@ -1475,7 +1475,7 @@ mod tests {
             let a = random_matrix(&mut rng, n, k);
             let b = random_matrix(&mut rng, k, m);
             let fast = a.matmul(&b);
-            let slow = a.matmul_naive(&b);
+            let slow = matmul_naive(&a, &b);
             assert!(
                 fast.max_abs_diff(&slow) < 1e-9,
                 "blocked vs naive diverged at {n}x{k}x{m}"

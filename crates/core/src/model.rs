@@ -9,15 +9,12 @@
 //! ```
 //!
 //! which minimizes `‖X W Sᵀ − Y‖_F² + γ‖W Sᵀ‖-style` ridge objectives in one
-//! pair of SPD solves — no iterative optimization. A plain ridge regression
-//! onto per-sample attribute targets is provided as a fallback for workloads
-//! where class-level signatures are noisy.
+//! pair of SPD solves — no iterative optimization.
 //!
 //! The closed form only ever touches the data through `XᵀX` and `XᵀYS`, so
 //! training does not need `X` in memory: [`GramAccumulator`] folds row chunks
 //! into those products and is the **single** Gram implementation behind every
-//! entry point — the in-memory [`EszslProblem::new`], the raw chunk-iterator
-//! [`EszslProblem::from_stream`], and the generic
+//! entry point — [`EszslTrainer::train`] on bare matrices, and
 //! [`EszslProblem::from_source`] / [`EszslTrainer::fit`] over any
 //! [`crate::source::FeatureSource`] — all **bit-identical** for every source
 //! kind and chunk size.
@@ -72,7 +69,8 @@ impl From<LinalgError> for TrainError {
 
 /// A trained linear feature→attribute projection `W : d x a`.
 ///
-/// Both trainers produce this; the classifier in [`crate::infer`] consumes it.
+/// The ESZSL and SAE trainers produce this; [`crate::infer::ScoringEngine`]
+/// consumes it.
 #[derive(Clone, Debug)]
 pub struct ProjectionModel {
     w: Matrix,
@@ -204,8 +202,7 @@ impl EszslConfig {
 ///         .unwrap();
 /// }
 /// let streamed = acc.finish().unwrap();
-/// let in_memory =
-///     EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).unwrap();
+/// let in_memory = EszslProblem::from_source(&ds).unwrap();
 /// assert_eq!(streamed.xtx().as_slice(), in_memory.xtx().as_slice());
 /// ```
 #[derive(Clone, Debug)]
@@ -378,7 +375,9 @@ impl EszslTrainer {
     }
 
     /// Train on features `x : n x d`, labels (indices into `signatures`
-    /// rows), and seen-class signatures `signatures : z x a`.
+    /// rows), and seen-class signatures `signatures : z x a` — a one-chunk
+    /// [`GramAccumulator`] fold, bit-identical to [`EszslTrainer::fit`] on
+    /// the same rows.
     pub fn train(
         &self,
         x: &Matrix,
@@ -387,14 +386,9 @@ impl EszslTrainer {
     ) -> Result<ProjectionModel, TrainError> {
         validate_regularizer("gamma", self.config.gamma)?;
         validate_regularizer("lambda", self.config.lambda)?;
-        EszslProblem::with_normalization(
-            x,
-            labels,
-            signatures,
-            self.config.normalize_features,
-            self.config.normalize_signatures,
-        )?
-        .solve(self.config.gamma, self.config.lambda)
+        let mut acc = self.accumulator(signatures);
+        acc.fold(x, labels)?;
+        acc.finish()?.solve(self.config.gamma, self.config.lambda)
     }
 
     /// The ONE generic training entry point: fit on the trainval split of any
@@ -407,12 +401,29 @@ impl EszslTrainer {
     pub fn fit<S: FeatureSource + ?Sized>(&self, source: &S) -> Result<ProjectionModel, ZslError> {
         validate_regularizer("gamma", self.config.gamma)?;
         validate_regularizer("lambda", self.config.lambda)?;
-        let problem = EszslProblem::from_source_with_normalization(
-            source,
+        Ok(self
+            .problem(source)?
+            .solve(self.config.gamma, self.config.lambda)?)
+    }
+
+    /// Fold the trainval split of `source` through [`EszslTrainer::accumulator`].
+    fn problem<S: FeatureSource + ?Sized>(&self, source: &S) -> Result<EszslProblem, ZslError> {
+        let mut acc = self.accumulator(&source.seen_signatures());
+        for chunk in source.stream(SplitKind::Trainval)? {
+            let (x, labels) = chunk?;
+            acc.fold(&x, &labels)?;
+        }
+        Ok(acc.finish()?)
+    }
+
+    /// An empty accumulator over `signatures` with this trainer's
+    /// normalization toggles.
+    pub(crate) fn accumulator(&self, signatures: &Matrix) -> GramAccumulator {
+        GramAccumulator::with_normalization(
+            signatures,
             self.config.normalize_features,
             self.config.normalize_signatures,
-        )?;
-        Ok(problem.solve(self.config.gamma, self.config.lambda)?)
+        )
     }
 }
 
@@ -446,98 +457,13 @@ pub struct EszslProblem {
 }
 
 impl EszslProblem {
-    /// Precompute the Gram matrices from raw (unnormalized) inputs.
-    pub fn new(x: &Matrix, labels: &[usize], signatures: &Matrix) -> Result<Self, TrainError> {
-        Self::with_normalization(x, labels, signatures, false, false)
-    }
-
-    /// Precompute with optional L2 row normalization of features and/or
-    /// signatures (matching the [`EszslConfig`] toggles).
-    ///
-    /// Since PR 5 this is a one-chunk fold through [`GramAccumulator`] — the
-    /// single Gram implementation every source kind shares. The accumulator
-    /// adds into each Gram element in the identical ascending-row order as
-    /// the one-shot `XᵀX` gemm this used to run, so results are bit-for-bit
-    /// unchanged (the golden suites pin this).
-    pub fn with_normalization(
-        x: &Matrix,
-        labels: &[usize],
-        signatures: &Matrix,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, TrainError> {
-        let mut acc = GramAccumulator::with_normalization(
-            signatures,
-            normalize_features,
-            normalize_signatures,
-        );
-        acc.fold(x, labels)?;
-        acc.finish()
-    }
-
-    /// The ONE generic problem constructor: fold the trainval split of any
-    /// [`FeatureSource`] into the Gram matrices, chunk by chunk. In-memory
-    /// sources lend one borrowed chunk (no copy); streamed sources never
-    /// materialize their features. Bit-identical across sources and chunk
-    /// sizes.
+    /// Fold the trainval split of any [`FeatureSource`] into the raw
+    /// (unnormalized) Gram matrices, chunk by chunk. In-memory sources lend
+    /// one borrowed chunk (no copy); streamed sources never materialize their
+    /// features. Bit-identical across sources and chunk sizes. For the
+    /// normalized problem, fold through [`GramAccumulator::with_normalization`].
     pub fn from_source<S: FeatureSource + ?Sized>(source: &S) -> Result<Self, ZslError> {
-        Self::from_source_with_normalization(source, false, false)
-    }
-
-    /// [`EszslProblem::from_source`] with the [`EszslConfig`] normalization
-    /// toggles.
-    pub fn from_source_with_normalization<S: FeatureSource + ?Sized>(
-        source: &S,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, ZslError> {
-        let signatures = source.seen_signatures();
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            normalize_features,
-            normalize_signatures,
-        );
-        for chunk in source.stream(SplitKind::Trainval)? {
-            let (x, labels) = chunk?;
-            acc.fold(&x, &labels)?;
-        }
-        Ok(acc.finish()?)
-    }
-
-    /// Build the problem by folding a stream of `(features, labels)` chunks
-    /// through a [`GramAccumulator`] — the full feature matrix never exists
-    /// in memory, and the result is bit-identical to [`EszslProblem::new`] on
-    /// the concatenated rows for every chunk size.
-    pub fn from_stream<I, E>(chunks: I, signatures: &Matrix) -> Result<Self, E>
-    where
-        I: IntoIterator<Item = Result<(Matrix, Vec<usize>), E>>,
-        E: From<TrainError>,
-    {
-        Self::from_stream_with_normalization(chunks, signatures, false, false)
-    }
-
-    /// [`EszslProblem::from_stream`] with the [`EszslConfig`] normalization
-    /// toggles (matching [`EszslProblem::with_normalization`]).
-    pub fn from_stream_with_normalization<I, E>(
-        chunks: I,
-        signatures: &Matrix,
-        normalize_features: bool,
-        normalize_signatures: bool,
-    ) -> Result<Self, E>
-    where
-        I: IntoIterator<Item = Result<(Matrix, Vec<usize>), E>>,
-        E: From<TrainError>,
-    {
-        let mut acc = GramAccumulator::with_normalization(
-            signatures,
-            normalize_features,
-            normalize_signatures,
-        );
-        for chunk in chunks {
-            let (x, labels) = chunk?;
-            acc.fold(&x, &labels)?;
-        }
-        Ok(acc.finish()?)
+        EszslTrainer::default().problem(source)
     }
 
     /// Feature dimension `d` of the problem.
@@ -624,87 +550,6 @@ impl EszslProblem {
     }
 }
 
-/// Builder-style configuration for [`RidgeTrainer`].
-#[derive(Clone, Debug)]
-pub struct RidgeConfig {
-    /// Ridge regularizer added to `Xᵀ X`.
-    pub gamma: f64,
-    /// L2-normalize feature rows before training.
-    pub normalize_features: bool,
-}
-
-impl Default for RidgeConfig {
-    fn default() -> Self {
-        RidgeConfig {
-            gamma: 1.0,
-            normalize_features: false,
-        }
-    }
-}
-
-impl RidgeConfig {
-    /// Start from the defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the ridge regularizer. Must be positive; enforced at train time
-    /// ([`TrainError::InvalidConfig`]).
-    pub fn gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
-    }
-
-    /// Toggle L2 normalization of feature rows.
-    pub fn normalize_features(mut self, on: bool) -> Self {
-        self.normalize_features = on;
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> RidgeTrainer {
-        RidgeTrainer { config: self }
-    }
-}
-
-/// Ridge-regression fallback: regress each sample's feature vector directly
-/// onto its class signature, `W = (Xᵀ X + γI)⁻¹ Xᵀ A` where row `i` of `A` is
-/// the signature of sample `i`'s class.
-///
-/// Simpler than ESZSL (no attribute-space regularizer) and useful when
-/// class-level structure is weak; produces the same [`ProjectionModel`].
-#[derive(Clone, Debug, Default)]
-pub struct RidgeTrainer {
-    config: RidgeConfig,
-}
-
-impl RidgeTrainer {
-    /// Trainer with an explicit configuration.
-    pub fn new(config: RidgeConfig) -> Self {
-        RidgeTrainer { config }
-    }
-
-    /// Train on the same inputs as [`EszslTrainer::train`].
-    pub fn train(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        signatures: &Matrix,
-    ) -> Result<ProjectionModel, TrainError> {
-        validate_regularizer("gamma", self.config.gamma)?;
-        let (x, s) = prepare_inputs(x, labels, signatures, self.config.normalize_features, false)?;
-
-        // Per-sample attribute targets A : n x a.
-        let targets = gather_signatures(labels, &s);
-
-        let xt = x.transpose();
-        let mut xtx = xt.matmul(&x);
-        xtx.add_scaled_identity(self.config.gamma);
-        let w = solve_spd(&xtx, &xt.matmul(&targets))?;
-        Ok(ProjectionModel::from_weights(w))
-    }
-}
-
 /// Regularizers must be strictly positive (and finite) to keep the shifted
 /// Gram matrices positive-definite; zero or negative values would silently
 /// train an un- or anti-regularized model.
@@ -725,49 +570,6 @@ fn gather_signatures(labels: &[usize], signatures: &Matrix) -> Matrix {
         out.row_mut(i).copy_from_slice(signatures.row(label));
     }
     out
-}
-
-/// Validate shapes/labels and apply the requested normalizations. Inputs are
-/// only copied when a normalization actually rewrites them.
-fn prepare_inputs<'a>(
-    x: &'a Matrix,
-    labels: &[usize],
-    signatures: &'a Matrix,
-    normalize_features: bool,
-    normalize_signatures: bool,
-) -> Result<(Cow<'a, Matrix>, Cow<'a, Matrix>), TrainError> {
-    if x.rows() != labels.len() {
-        return Err(TrainError::Shape(format!(
-            "{} feature rows but {} labels",
-            x.rows(),
-            labels.len()
-        )));
-    }
-    if x.rows() == 0 {
-        return Err(TrainError::Shape("empty training set".into()));
-    }
-    let z = signatures.rows();
-    if let Some(&bad) = labels.iter().find(|&&l| l >= z) {
-        return Err(TrainError::LabelOutOfRange {
-            label: bad,
-            num_classes: z,
-        });
-    }
-    let x = if normalize_features {
-        let mut x = x.clone();
-        x.l2_normalize_rows();
-        Cow::Owned(x)
-    } else {
-        Cow::Borrowed(x)
-    };
-    let s = if normalize_signatures {
-        let mut s = signatures.clone();
-        s.l2_normalize_rows();
-        Cow::Owned(s)
-    } else {
-        Cow::Borrowed(signatures)
-    };
-    Ok((x, s))
 }
 
 #[cfg(test)]
@@ -815,12 +617,6 @@ mod tests {
             &ds.seen_signatures,
         );
         assert!(matches!(result, Err(TrainError::InvalidConfig(_))));
-        let result = RidgeConfig::new().gamma(0.0).build().train(
-            &ds.train_x,
-            &ds.train_labels,
-            &ds.seen_signatures,
-        );
-        assert!(matches!(result, Err(TrainError::InvalidConfig(_))));
     }
 
     #[test]
@@ -857,22 +653,9 @@ mod tests {
     }
 
     #[test]
-    fn ridge_fallback_trains_and_projects() {
-        let ds = SyntheticConfig::new().seed(77).build();
-        let model = RidgeConfig::new()
-            .gamma(0.1)
-            .build()
-            .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-            .expect("train");
-        assert_eq!(model.weights().rows(), ds.train_x.cols());
-        assert_eq!(model.weights().cols(), ds.seen_signatures.cols());
-    }
-
-    #[test]
     fn eszsl_problem_reuse_matches_one_shot_training_bit_for_bit() {
         let ds = SyntheticConfig::new().seed(21).build();
-        let problem =
-            EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).expect("gram");
+        let problem = EszslProblem::from_source(&ds).expect("gram");
         assert_eq!(problem.feature_dim(), ds.train_x.cols());
         assert_eq!(problem.attr_dim(), ds.seen_signatures.cols());
         for (gamma, lambda) in [(0.1, 0.1), (1.0, 10.0), (100.0, 0.01)] {
@@ -900,14 +683,11 @@ mod tests {
         let ds = SyntheticConfig::new().seed(42).build();
         let n = ds.train_x.rows();
         for (nf, ns) in [(false, false), (true, false), (false, true), (true, true)] {
-            let reference = EszslProblem::with_normalization(
-                &ds.train_x,
-                &ds.train_labels,
-                &ds.seen_signatures,
-                nf,
-                ns,
-            )
-            .expect("in-memory problem");
+            let reference = {
+                let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
+                acc.fold(&ds.train_x, &ds.train_labels).expect("fold");
+                acc.finish().expect("in-memory problem")
+            };
             for chunk in [1usize, 5, n, n + 9] {
                 let mut acc = GramAccumulator::with_normalization(&ds.seen_signatures, nf, ns);
                 let mut start = 0;

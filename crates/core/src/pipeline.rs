@@ -16,17 +16,17 @@
 //! ```
 //!
 //! [`Pipeline`] wires the generic stages together — `(γ, λ)` selection via
-//! [`cross_validate`], a final fit via the pipeline's [`Trainer`]
-//! (ESZSL by default; [`Pipeline::with_trainer`] swaps in any other family,
-//! e.g. [`crate::trainer::SaeTrainer`] or
-//! [`crate::trainer::KernelEszslTrainer`]), GZSL scoring via
-//! [`evaluate_gzsl_with`] — over any [`FeatureSource`]: swap the
-//! in-memory dataset above for a [`crate::data::StreamingBundle`] and the
-//! same chain runs out-of-core with bit-identical numbers. The model choice
-//! is sticky: the trainer set once governs the sweep, the final fit, and the
-//! artifact's provenance metadata. Each stage is a
-//! thin delegation, so the facade adds no measurable overhead over calling
-//! the stages directly (the `[bench] facade-vs-direct` line in
+//! [`cross_validate_with`], a final fit via the pipeline's [`Trainer`]
+//! (ESZSL by default; [`Pipeline::with_trainer`] swaps in any other family
+//! or configuration, e.g. a normalizing [`crate::model::EszslConfig`],
+//! [`crate::trainer::SaeTrainer`] or [`crate::trainer::KernelEszslTrainer`]),
+//! GZSL scoring via [`evaluate_gzsl_with`] — over any [`FeatureSource`]: swap
+//! the in-memory dataset above for a [`crate::data::StreamingBundle`] and the
+//! same chain runs out-of-core with bit-identical numbers. The trainer is
+//! sticky: the one set governs the sweep (including its normalization), the
+//! final fit, and the artifact's provenance metadata. Each stage is a thin
+//! delegation, so the facade adds no measurable overhead over calling the
+//! stages directly (the `[bench] facade-vs-direct` line in
 //! `tests/throughput.rs` tracks this).
 //!
 //! A trained pipeline exposes its [`ScoringEngine`] and can persist it as a
@@ -36,27 +36,24 @@
 
 use crate::error::ZslError;
 use crate::eval::{
-    cross_validate, cross_validate_with, evaluate_gzsl_with, CrossValConfig, CrossValReport,
-    GzslReport,
+    cross_validate_with, evaluate_gzsl_with, CrossValConfig, CrossValReport, GzslReport,
 };
 use crate::infer::{ScoringEngine, Similarity};
-use crate::model::{EszslConfig, EszslTrainer};
+use crate::model::EszslTrainer;
 use crate::source::{DynSource, FeatureSource};
 use crate::trainer::{TrainedModel, Trainer};
 use std::path::Path;
 
-/// Untrained pipeline: a source plus the training configuration to apply.
+/// Untrained pipeline: a source plus the trainer to apply.
 ///
 /// Build one with `Pipeline::from(&source)` (any [`FeatureSource`]),
-/// optionally adjust the [`EszslConfig`] / similarity or run
+/// optionally choose the trainer / similarity or run
 /// [`Pipeline::cross_validate`], then [`Pipeline::train`].
 #[derive(Clone, Debug)]
 pub struct Pipeline<'a, S: FeatureSource + ?Sized> {
     source: &'a S,
-    config: EszslConfig,
-    /// `Some` once [`Pipeline::with_trainer`] chose a model family; `None`
-    /// runs the historical ESZSL path driven by `config`, bit-for-bit.
-    trainer: Option<Box<dyn Trainer>>,
+    /// The model family and its configuration, including normalization.
+    trainer: Box<dyn Trainer>,
     /// `Some` once set explicitly (or adopted from a sweep); `None` means
     /// "nobody chose yet" and resolves to cosine at train time.
     similarity: Option<Similarity>,
@@ -73,8 +70,7 @@ impl<'a, S: FeatureSource + ?Sized> From<&'a S> for Pipeline<'a, S> {
     fn from(source: &'a S) -> Self {
         Pipeline {
             source,
-            config: EszslConfig::default(),
-            trainer: None,
+            trainer: Box::new(EszslTrainer::default()),
             similarity: None,
             calibration: 0.0,
             cv: None,
@@ -83,23 +79,16 @@ impl<'a, S: FeatureSource + ?Sized> From<&'a S> for Pipeline<'a, S> {
 }
 
 impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
-    /// Replace the ESZSL trainer configuration (regularizers +
-    /// normalization). Ignored once [`Pipeline::with_trainer`] picked a
-    /// different trainer — configure that trainer directly instead.
-    pub fn config(mut self, config: EszslConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Choose the model family: any [`Trainer`] — [`EszslTrainer`],
-    /// [`crate::trainer::SaeTrainer`],
+    /// Choose the model family and its configuration: any [`Trainer`] —
+    /// [`EszslTrainer`] (e.g. `EszslConfig::new().normalize_features(true)
+    /// .build()`), [`crate::trainer::SaeTrainer`],
     /// [`crate::trainer::KernelEszslTrainer`], or a custom impl. The choice
     /// is sticky: [`Pipeline::cross_validate`] sweeps this trainer's own
-    /// grid, [`Pipeline::train`] refits it at the winning point, and
-    /// [`TrainedPipeline::save`] records its [`Trainer::describe`] string as
-    /// artifact provenance.
+    /// grid under its own normalization, [`Pipeline::train`] refits it at the
+    /// winning point, and [`TrainedPipeline::save`] records its
+    /// [`Trainer::describe`] string as artifact provenance.
     pub fn with_trainer<T: Trainer + 'static>(mut self, trainer: T) -> Self {
-        self.trainer = Some(Box::new(trainer));
+        self.trainer = Box::new(trainer);
         self
     }
 
@@ -122,62 +111,24 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
         self
     }
 
-    /// Select `(γ, λ)` by seeded k-fold cross-validation on the source's
-    /// trainval split and adopt the winning pair for the subsequent
-    /// [`Pipeline::train`]. The full [`CrossValReport`] is retained and
-    /// available from the trained pipeline.
+    /// Select `(γ, λ)` by seeded k-fold cross-validation of the pipeline's
+    /// trainer on the source's trainval split and adopt the winning point
+    /// ([`Trainer::with_point`]) for the subsequent [`Pipeline::train`]. The
+    /// full [`CrossValReport`] is retained and available from the trained
+    /// pipeline.
     ///
-    /// The sweep runs under this pipeline's preprocessing: the normalization
-    /// toggles (set via [`Pipeline::config`]) and any similarity set via
-    /// [`Pipeline::similarity`] govern the sweep — hyperparameters are
-    /// always selected for the exact model `train()` will fit and serve,
-    /// never for a differently-configured one. When no similarity was set on
-    /// the pipeline, the sweep's similarity is adopted for training. A
-    /// [`CrossValConfig`] that explicitly enables normalization the pipeline
-    /// will *not* train with is a contradiction and a typed
-    /// [`ZslError::Config`], never a silently un-normalized sweep.
+    /// The sweep runs the exact model `train()` will fit and serve: the
+    /// trainer's own normalization governs every fold, and any similarity set
+    /// via [`Pipeline::similarity`] overrides the config's. When no
+    /// similarity was set on the pipeline, the sweep's similarity is adopted
+    /// for training.
     pub fn cross_validate(mut self, config: &CrossValConfig) -> Result<Self, ZslError> {
-        if let Some(trainer) = &self.trainer {
-            if config.normalize_features || config.normalize_signatures {
-                return Err(ZslError::Config(format!(
-                    "the CrossValConfig enables normalization, but this pipeline's {} trainer \
-                     already owns its preprocessing; set normalization on the trainer passed \
-                     to Pipeline::with_trainer",
-                    trainer.family()
-                )));
-            }
-            let trainer = self.trainer.take().expect("just checked");
-            let mut sweep = config.clone();
-            if let Some(similarity) = self.similarity {
-                sweep.similarity = similarity;
-            }
-            let cv = cross_validate_with(trainer.as_ref(), &DynSource(self.source), &sweep)?;
-            self.trainer = Some(trainer.with_point(cv.best.gamma, cv.best.lambda));
-            self.similarity = Some(sweep.similarity);
-            self.calibration = cv.best.calibration;
-            self.cv = Some(cv);
-            return Ok(self);
-        }
-        if (config.normalize_features && !self.config.normalize_features)
-            || (config.normalize_signatures && !self.config.normalize_signatures)
-        {
-            return Err(ZslError::Config(
-                "the CrossValConfig enables normalization that this pipeline's EszslConfig \
-                 does not; set normalization via Pipeline::config, which governs both the \
-                 sweep and the final fit"
-                    .into(),
-            ));
-        }
-        let mut sweep = config
-            .clone()
-            .normalize_features(self.config.normalize_features)
-            .normalize_signatures(self.config.normalize_signatures);
+        let mut sweep = config.clone();
         if let Some(similarity) = self.similarity {
             sweep.similarity = similarity;
         }
-        let cv = cross_validate(self.source, &sweep)?;
-        self.config.gamma = cv.best.gamma;
-        self.config.lambda = cv.best.lambda;
+        let cv = cross_validate_with(self.trainer.as_ref(), &DynSource(self.source), &sweep)?;
+        self.trainer = self.trainer.with_point(cv.best.gamma, cv.best.lambda);
         self.similarity = Some(sweep.similarity);
         self.calibration = cv.best.calibration;
         self.cv = Some(cv);
@@ -189,12 +140,7 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
     /// calibrated-stacking penalty to the bank's seen-class prefix.
     pub fn train(self) -> Result<TrainedPipeline<'a, S>, ZslError> {
         let similarity = self.similarity.unwrap_or_default();
-        let model: TrainedModel = match &self.trainer {
-            Some(trainer) => trainer.fit(&DynSource(self.source))?,
-            None => EszslTrainer::new(self.config.clone())
-                .fit(self.source)?
-                .into(),
-        };
+        let model: TrainedModel = self.trainer.fit(&DynSource(self.source))?;
         // Fallible construction + calibration: this path feeds artifacts and
         // servers, so malformed parts (or a γ_cal that cannot apply) must be
         // typed errors, not panics. γ_cal = 0 leaves the engine untouched.
@@ -203,7 +149,6 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
         Ok(TrainedPipeline {
             source: self.source,
             engine,
-            config: self.config,
             trainer: self.trainer,
             cv: self.cv,
         })
@@ -215,8 +160,7 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
 pub struct TrainedPipeline<'a, S: FeatureSource + ?Sized> {
     source: &'a S,
     engine: ScoringEngine,
-    config: EszslConfig,
-    trainer: Option<Box<dyn Trainer>>,
+    trainer: Box<dyn Trainer>,
     cv: Option<CrossValReport>,
 }
 
@@ -243,19 +187,10 @@ impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
         self.engine.model()
     }
 
-    /// The ESZSL trainer configuration that produced this model (after any
-    /// cross-validated `(γ, λ)` adoption). Reflects the fit only when no
-    /// [`Pipeline::with_trainer`] override was set — see
-    /// [`TrainedPipeline::trainer`] otherwise.
-    pub fn config(&self) -> &EszslConfig {
-        &self.config
-    }
-
-    /// The trainer override that produced this model, when
-    /// [`Pipeline::with_trainer`] set one (after any cross-validated
-    /// `(γ, λ)` adoption).
-    pub fn trainer(&self) -> Option<&dyn Trainer> {
-        self.trainer.as_deref()
+    /// The trainer that produced this model, after any cross-validated
+    /// `(γ, λ)` adoption.
+    pub fn trainer(&self) -> &dyn Trainer {
+        self.trainer.as_ref()
     }
 
     /// The cross-validation report, when [`Pipeline::cross_validate`] ran.
@@ -264,23 +199,14 @@ impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
     }
 
     /// Persist the engine as a `.zsm` artifact whose provenance metadata
-    /// records how it was trained — γ, λ, normalization toggles, similarity,
+    /// records how it was trained — the trainer's [`Trainer::describe`]
+    /// string (family, hyperparameters, normalization toggles), similarity,
     /// and the class counts — so a serving process can boot from this file
     /// alone and an operator can later tell artifacts apart.
     pub fn save(&self, path: &Path) -> Result<(), ZslError> {
-        let trainer = match &self.trainer {
-            Some(t) => t.describe(),
-            None => format!(
-                "trainer=eszsl; gamma={}; lambda={}; normalize_features={}; \
-                 normalize_signatures={}",
-                self.config.gamma,
-                self.config.lambda,
-                self.config.normalize_features,
-                self.config.normalize_signatures,
-            ),
-        };
         let mut metadata = format!(
-            "{trainer}; similarity={}; seen_classes={}; unseen_classes={}",
+            "{}; similarity={}; seen_classes={}; unseen_classes={}",
+            self.trainer.describe(),
             self.engine.similarity(),
             self.source.num_seen_classes(),
             self.source.num_unseen_classes(),
@@ -296,7 +222,27 @@ impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
 mod tests {
     use super::*;
     use crate::data::SyntheticConfig;
-    use crate::eval::select_train_evaluate;
+    use crate::model::EszslConfig;
+
+    /// The stages the facade chains, called directly: sweep, refit at the
+    /// winner, build the calibrated union-bank engine, evaluate.
+    fn direct_protocol(
+        trainer: &dyn Trainer,
+        source: &dyn FeatureSource,
+        config: &CrossValConfig,
+    ) -> (CrossValReport, GzslReport) {
+        let cv = cross_validate_with(trainer, source, config).expect("direct cv");
+        let model = trainer
+            .with_point(cv.best.gamma, cv.best.lambda)
+            .fit(source)
+            .expect("direct fit");
+        let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)
+            .expect("engine")
+            .with_calibration(cv.best.calibration, source.num_seen_classes())
+            .expect("calibration");
+        let report = evaluate_gzsl_with(&engine, source).expect("direct evaluate");
+        (cv, report)
+    }
 
     #[test]
     fn facade_matches_the_direct_protocol_bit_for_bit() {
@@ -306,14 +252,20 @@ mod tests {
             .lambdas(vec![1.0])
             .folds(3)
             .seed(9);
-        let (direct_cv, direct_report) = select_train_evaluate(&ds, &config).expect("direct");
+        let eszsl = EszslTrainer::default();
+        let (direct_cv, direct_report) = direct_protocol(&eszsl, &ds, &config);
         let trained = Pipeline::from(&ds)
             .cross_validate(&config)
             .expect("cv")
             .train()
             .expect("train");
         assert_eq!(trained.cv_report(), Some(&direct_cv));
-        assert_eq!(trained.config().gamma, direct_cv.best.gamma);
+        assert_eq!(
+            trained.trainer().describe(),
+            eszsl
+                .with_point(direct_cv.best.gamma, direct_cv.best.lambda)
+                .describe()
+        );
         let report = trained.evaluate().expect("evaluate");
         assert_eq!(report, direct_report);
     }
@@ -322,34 +274,37 @@ mod tests {
     fn cross_validation_sweeps_under_the_pipelines_normalization() {
         // Selecting (γ, λ) on raw features and then training on normalized
         // ones would tune a different model than the one shipped; the facade
-        // must run the sweep under its own normalization toggles.
+        // must run the sweep under its trainer's normalization toggles.
         let ds = SyntheticConfig::new().seed(88).build();
         let cfg = CrossValConfig::new()
             .gammas(vec![0.1, 1.0])
             .lambdas(vec![0.1, 1.0])
             .folds(3)
             .seed(5);
+        let normalizing = || {
+            EszslConfig::new()
+                .normalize_features(true)
+                .normalize_signatures(true)
+                .build()
+        };
         let trained = Pipeline::from(&ds)
-            .config(
-                EszslConfig::new()
-                    .normalize_features(true)
-                    .normalize_signatures(true),
-            )
+            .with_trainer(normalizing())
             .cross_validate(&cfg)
             .expect("cv")
             .train()
             .expect("train");
-        let normalized_sweep = crate::eval::cross_validate(
-            &ds,
-            &cfg.clone()
-                .normalize_features(true)
-                .normalize_signatures(true),
-        )
-        .expect("normalized cv");
+        let normalized_sweep =
+            cross_validate_with(&normalizing(), &ds, &cfg).expect("normalized cv");
         assert_eq!(trained.cv_report(), Some(&normalized_sweep));
         // The toggles survive the (γ, λ) adoption into the final fit.
-        assert!(trained.config().normalize_features);
-        assert!(trained.config().normalize_signatures);
+        assert!(
+            trained
+                .trainer()
+                .describe()
+                .ends_with("normalize_features=true; normalize_signatures=true"),
+            "got {}",
+            trained.trainer().describe()
+        );
         let direct = EszslConfig::new()
             .gamma(normalized_sweep.best.gamma)
             .lambda(normalized_sweep.best.lambda)
@@ -370,28 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn contradictory_sweep_normalization_is_a_typed_error() {
-        // Asking the sweep for normalization the pipeline will not train
-        // with must fail loudly, not silently run an un-normalized sweep.
-        let ds = SyntheticConfig::new().seed(14).build();
-        let cfg = CrossValConfig::new()
-            .gammas(vec![1.0])
-            .lambdas(vec![1.0])
-            .folds(2)
-            .normalize_features(true);
-        let err = Pipeline::from(&ds).cross_validate(&cfg).unwrap_err();
-        assert!(
-            matches!(&err, ZslError::Config(msg) if msg.contains("Pipeline::config")),
-            "got {err:?}"
-        );
-        // Agreement (both normalized) is fine.
-        Pipeline::from(&ds)
-            .config(EszslConfig::new().normalize_features(true))
-            .cross_validate(&cfg)
-            .expect("consistent normalization");
-    }
-
-    #[test]
     fn explicit_similarity_is_sticky_through_cross_validation() {
         // similarity(Dot) then cross_validate must sweep under Dot and serve
         // Dot — not silently reset to the CrossValConfig's cosine.
@@ -408,8 +341,12 @@ mod tests {
             .train()
             .expect("train");
         assert_eq!(trained.engine().similarity(), Similarity::Dot);
-        let dot_sweep = crate::eval::cross_validate(&ds, &cfg.clone().similarity(Similarity::Dot))
-            .expect("dot cv");
+        let dot_sweep = cross_validate_with(
+            &EszslTrainer::default(),
+            &ds,
+            &cfg.clone().similarity(Similarity::Dot),
+        )
+        .expect("dot cv");
         assert_eq!(trained.cv_report(), Some(&dot_sweep));
         // Without an explicit choice, the sweep's similarity is adopted.
         let adopted = Pipeline::from(&ds)
@@ -424,7 +361,7 @@ mod tests {
     fn facade_without_cv_uses_the_given_config() {
         let ds = SyntheticConfig::new().seed(21).build();
         let trained = Pipeline::from(&ds)
-            .config(EszslConfig::new().gamma(0.5).lambda(2.0))
+            .with_trainer(EszslConfig::new().gamma(0.5).lambda(2.0).build())
             .similarity(Similarity::Dot)
             .train()
             .expect("train");
@@ -449,8 +386,6 @@ mod tests {
 
     #[test]
     fn trainer_override_is_sticky_from_sweep_to_artifact_metadata() {
-        use crate::eval::{cross_validate_with, select_train_evaluate_with};
-        use crate::source::DynSource;
         use crate::trainer::{ModelFamily, SaeConfig, SaeTrainer};
 
         let ds = SyntheticConfig::new().seed(31).build();
@@ -467,37 +402,15 @@ mod tests {
             .expect("train");
         assert_eq!(trained.model().family(), ModelFamily::Sae);
         // Same numbers as the direct generic protocol.
-        let sae = SaeTrainer::new(SaeConfig::new());
-        let direct_cv = cross_validate_with(&sae, &DynSource(&ds), &cfg).expect("direct cv");
+        let (direct_cv, direct_report) =
+            direct_protocol(&SaeTrainer::new(SaeConfig::new()), &ds, &cfg);
         assert_eq!(trained.cv_report(), Some(&direct_cv));
-        let (_, direct_report) =
-            select_train_evaluate_with(&sae, &DynSource(&ds), &cfg).expect("direct");
         assert_eq!(trained.evaluate().expect("evaluate"), direct_report);
         // The adopted λ shows up in the provenance the artifact will carry.
-        let description = trained.trainer().expect("override").describe();
+        let description = trained.trainer().describe();
         assert!(
             description.contains(&format!("trainer=sae; lambda={}", direct_cv.best.lambda)),
             "got {description}"
-        );
-    }
-
-    #[test]
-    fn trainer_override_rejects_sweep_normalization() {
-        use crate::trainer::{SaeConfig, SaeTrainer};
-
-        let ds = SyntheticConfig::new().seed(13).build();
-        let cfg = CrossValConfig::new()
-            .gammas(vec![1.0])
-            .lambdas(vec![1.0])
-            .folds(2)
-            .normalize_features(true);
-        let err = Pipeline::from(&ds)
-            .with_trainer(SaeTrainer::new(SaeConfig::new()))
-            .cross_validate(&cfg)
-            .unwrap_err();
-        assert!(
-            matches!(&err, ZslError::Config(msg) if msg.contains("with_trainer")),
-            "got {err:?}"
         );
     }
 }

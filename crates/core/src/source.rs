@@ -4,9 +4,8 @@
 //! splits as chunked `(features, labels)` streams plus the class signature
 //! banks: an in-memory [`Dataset`], an out-of-core [`StreamingBundle`], or a
 //! bare [`MemorySource`] wrapping a feature matrix and labels. Every generic
-//! entry point — [`crate::model::EszslTrainer::fit`],
-//! [`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate`],
-//! [`crate::eval::select_train_evaluate`],
+//! entry point — [`crate::trainer::Trainer::fit`],
+//! [`crate::eval::evaluate_gzsl`], [`crate::eval::cross_validate_with`],
 //! [`crate::infer::ScoringEngine::predict_source`], and the
 //! [`crate::pipeline::Pipeline`] facade — is written against this trait, so
 //! one code path serves every source kind.
@@ -107,11 +106,11 @@ pub trait FeatureSource {
 /// Sized delegating wrapper that turns any `&S` (including `&dyn
 /// FeatureSource` itself) into something coercible to `&dyn FeatureSource`.
 ///
-/// Generic functions over `S: FeatureSource + ?Sized` cannot unsize `&S`
+/// Generic code over `S: FeatureSource + ?Sized` cannot unsize `&S`
 /// directly, but `&DynSource<S>` is a reference to a *sized* type, so the
-/// coercion applies — this is how the generic eval entry points hand their
+/// coercion applies — this is how [`crate::pipeline::Pipeline`] hands its
 /// source to the object-safe [`crate::trainer::Trainer`] API.
-pub struct DynSource<'s, S: FeatureSource + ?Sized>(pub &'s S);
+pub(crate) struct DynSource<'s, S: FeatureSource + ?Sized>(pub(crate) &'s S);
 
 impl<S: FeatureSource + ?Sized> FeatureSource for DynSource<'_, S> {
     fn split_len(&self, split: SplitKind) -> usize {
@@ -263,8 +262,8 @@ impl FeatureSource for StreamingBundle {
 }
 
 /// Bare in-memory source: a feature matrix, its labels, and the signature
-/// bank those labels index — the PR 5 replacement for the old
-/// `cross_validate(&x, &labels, &signatures, ..)` raw-matrix signature.
+/// bank those labels index — how bare matrices enter cross-validation and
+/// training.
 ///
 /// There are no test splits: [`SplitKind::TestSeen`] and
 /// [`SplitKind::TestUnseen`] stream empty, and the unseen bank is a zero-row

@@ -378,13 +378,7 @@ impl Trainer for EszslTrainer {
         subset: &[usize],
         points: &[(f64, f64)],
     ) -> Result<Vec<TrainedModel>, ZslError> {
-        let config = self.config();
-        let signatures = source.seen_signatures();
-        let mut acc = GramAccumulator::with_normalization(
-            &signatures,
-            config.normalize_features,
-            config.normalize_signatures,
-        );
+        let mut acc = self.accumulator(&source.seen_signatures());
         for chunk in source.stream_trainval_subset(subset)? {
             let (x, labels) = chunk?;
             acc.fold(&x, &labels)?;

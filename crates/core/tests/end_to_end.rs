@@ -1,15 +1,27 @@
 //! End-to-end tests exercising the whole public API:
-//! `Dataset → EszslTrainer → Classifier::predict` plus metrics.
+//! `Dataset → EszslTrainer → ScoringEngine::predict` plus metrics.
 //!
 //! These are the anchor tests named in the roadmap: training on synthetic
 //! seen classes must classify held-out unseen classes at ≥95% accuracy.
 
-use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, SyntheticConfig};
-use zsl_core::eval::{select_train_evaluate, CrossValConfig};
+use zsl_core::data::{export_dataset, Dataset, DatasetBundle, FeatureFormat, SyntheticConfig};
+use zsl_core::eval::{CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{
-    harmonic_mean, mean_per_class_accuracy, overall_accuracy, Classifier, Similarity,
+    harmonic_mean, mean_per_class_accuracy, overall_accuracy, ScoringEngine, Similarity,
 };
-use zsl_core::model::{EszslConfig, RidgeConfig};
+use zsl_core::model::EszslConfig;
+use zsl_core::Pipeline;
+
+/// Cross-validate on trainval, refit at the winner, evaluate GZSL.
+fn protocol(ds: &Dataset, config: &CrossValConfig) -> (CrossValReport, GzslReport) {
+    let trained = Pipeline::from(ds)
+        .cross_validate(config)
+        .expect("cv")
+        .train()
+        .expect("train");
+    let report = trained.evaluate().expect("evaluate");
+    (trained.cv_report().expect("cv report").clone(), report)
+}
 
 #[test]
 fn eszsl_classifies_unseen_classes_at_95_percent() {
@@ -28,7 +40,7 @@ fn eszsl_classifies_unseen_classes_at_95_percent() {
         .build()
         .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
         .expect("train");
-    let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+    let clf = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
     let predictions = clf.predict(&ds.test_unseen_x);
     let acc = mean_per_class_accuracy(&predictions, &ds.test_unseen_labels, 5);
     assert!(acc >= 0.95, "unseen-class accuracy {acc} below 0.95");
@@ -42,7 +54,7 @@ fn eszsl_accuracy_holds_across_seeds() {
             .build()
             .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
             .expect("train");
-        let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
+        let clf = ScoringEngine::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
         let predictions = clf.predict(&ds.test_unseen_x);
         let acc = mean_per_class_accuracy(
             &predictions,
@@ -63,7 +75,7 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
         .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
         .expect("train");
     // GZSL: candidates are the union of seen and unseen classes.
-    let clf = Classifier::new(model, ds.all_signatures(), Similarity::Cosine);
+    let clf = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
 
     let seen_pred = clf.predict(&ds.test_seen_x);
     let seen_acc = mean_per_class_accuracy(&seen_pred, &ds.test_seen_labels, num_seen);
@@ -86,24 +98,6 @@ fn generalized_zsl_harmonic_mean_is_high_on_clean_data() {
 }
 
 #[test]
-fn ridge_fallback_also_transfers_to_unseen_classes() {
-    let ds = SyntheticConfig::new().seed(31).build();
-    let model = RidgeConfig::new()
-        .gamma(0.1)
-        .build()
-        .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
-        .expect("train");
-    let clf = Classifier::new(model, ds.unseen_signatures.clone(), Similarity::Cosine);
-    let predictions = clf.predict(&ds.test_unseen_x);
-    let acc = mean_per_class_accuracy(
-        &predictions,
-        &ds.test_unseen_labels,
-        ds.unseen_signatures.rows(),
-    );
-    assert!(acc >= 0.95, "ridge unseen accuracy {acc} below 0.95");
-}
-
-#[test]
 fn topk_contains_top1_and_pipeline_is_deterministic() {
     let ds = SyntheticConfig::new().seed(8).build();
     let train = || {
@@ -112,8 +106,8 @@ fn topk_contains_top1_and_pipeline_is_deterministic() {
             .train(&ds.train_x, &ds.train_labels, &ds.seen_signatures)
             .expect("train")
     };
-    let clf_a = Classifier::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
-    let clf_b = Classifier::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
+    let clf_a = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
+    let clf_b = ScoringEngine::new(train(), ds.unseen_signatures.clone(), Similarity::Cosine);
 
     let top1 = clf_a.predict(&ds.test_unseen_x);
     let top3 = clf_a.predict_topk(&ds.test_unseen_x, 3);
@@ -143,7 +137,7 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
         .lambdas(vec![0.1, 1.0])
         .folds(3)
         .seed(11);
-    let (cv_mem, report_mem) = select_train_evaluate(&ds, &config).expect("in-memory");
+    let (cv_mem, report_mem) = protocol(&ds, &config);
 
     for format in [FeatureFormat::Zsb, FeatureFormat::Csv] {
         let dir = std::env::temp_dir().join(format!(
@@ -155,7 +149,7 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
             .expect("load")
             .to_dataset()
             .expect("materialize");
-        let (cv_disk, report_disk) = select_train_evaluate(&reloaded, &config).expect("from disk");
+        let (cv_disk, report_disk) = protocol(&reloaded, &config);
         assert_eq!(
             cv_disk, cv_mem,
             "{format:?}: grid search must be bit-identical"
@@ -168,7 +162,7 @@ fn disk_roundtrip_pipeline_matches_in_memory_pipeline_bit_for_bit() {
     }
 
     // Determinism: the same seed reproduces the search; the report is sane.
-    let (cv_again, report_again) = select_train_evaluate(&ds, &config).expect("rerun");
+    let (cv_again, report_again) = protocol(&ds, &config);
     assert_eq!(cv_again, cv_mem);
     assert_eq!(report_again, report_mem);
     assert!(
@@ -188,7 +182,7 @@ fn dot_similarity_works_with_normalized_signatures() {
         .expect("train");
     let mut signatures = ds.unseen_signatures.clone();
     signatures.l2_normalize_rows();
-    let clf = Classifier::new(model, signatures, Similarity::Dot);
+    let clf = ScoringEngine::new(model, signatures, Similarity::Dot);
     let predictions = clf.predict(&ds.test_unseen_x);
     let acc = overall_accuracy(&predictions, &ds.test_unseen_labels);
     assert!(acc >= 0.9, "dot-similarity unseen accuracy {acc} below 0.9");

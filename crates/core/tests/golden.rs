@@ -10,7 +10,7 @@
 // shorter literal would round to the same f64.
 #![allow(clippy::excessive_precision)]
 
-use zsl_core::infer::{Classifier, Similarity};
+use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::linalg::Matrix;
 use zsl_core::model::EszslConfig;
 
@@ -86,7 +86,7 @@ fn classifier_reproduces_golden_scores_and_predictions() {
         .build()
         .train(&x, &labels, &s)
         .expect("train");
-    let clf = Classifier::new(model, s, Similarity::Cosine);
+    let clf = ScoringEngine::new(model, s, Similarity::Cosine);
 
     let probes = Matrix::from_rows(&[vec![1.05, -0.05], vec![0.0, 1.1], vec![1.0, 0.95]]);
     assert_eq!(clf.predict(&probes), vec![0, 1, 2]);

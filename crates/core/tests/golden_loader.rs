@@ -193,8 +193,7 @@ fn fixture_streamed_accumulators_match_frozen_digests_and_in_memory_path() {
         .expect("load")
         .to_dataset()
         .expect("materialize");
-    let problem =
-        EszslProblem::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures).expect("problem");
+    let problem = EszslProblem::from_source(&ds).expect("problem");
     assert_eq!(digest_matrix(problem.xtx()), GOLDEN_STREAM_GRAM[0]);
     assert_eq!(digest_matrix(problem.xtys()), GOLDEN_STREAM_GRAM[1]);
     assert_eq!(digest_matrix(problem.sts()), GOLDEN_STREAM_GRAM[2]);

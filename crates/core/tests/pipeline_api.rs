@@ -1,14 +1,18 @@
 //! Facade + unified-API test layer: the [`Pipeline`] builder must be a pure
 //! re-wiring of the generic entry points (bit-identical results, including
-//! through `dyn FeatureSource`), [`MemorySource`] must replace the old
-//! raw-matrix call shapes, and the top-level [`ZslError`] must chain causes.
+//! through `dyn FeatureSource`), [`MemorySource`] must carry bare matrices
+//! into the same sweep, and the top-level [`ZslError`] must chain causes.
 
 use std::path::PathBuf;
 use zsl_core::data::{export_dataset, FeatureFormat, StreamingBundle, SyntheticConfig};
-use zsl_core::eval::{cross_validate, evaluate_gzsl, select_train_evaluate, CrossValConfig};
+use zsl_core::eval::{
+    cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig, CrossValReport,
+    GzslReport,
+};
 use zsl_core::infer::{ScoringEngine, Similarity};
-use zsl_core::model::EszslConfig;
+use zsl_core::model::{EszslConfig, EszslTrainer};
 use zsl_core::source::{FeatureSource, MemorySource, SplitKind};
+use zsl_core::trainer::Trainer;
 use zsl_core::{Dataset, Pipeline, ZslError};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -32,6 +36,26 @@ fn small_config() -> CrossValConfig {
         .seed(42)
 }
 
+/// The stages the facade chains, called directly: sweep `trainer`, refit at
+/// the winner, build the calibrated union-bank engine, evaluate GZSL.
+fn direct_protocol(
+    trainer: &dyn Trainer,
+    source: &dyn FeatureSource,
+    config: &CrossValConfig,
+) -> (CrossValReport, GzslReport) {
+    let cv = cross_validate_with(trainer, source, config).expect("direct cv");
+    let model = trainer
+        .with_point(cv.best.gamma, cv.best.lambda)
+        .fit(source)
+        .expect("direct fit");
+    let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)
+        .expect("engine")
+        .with_calibration(cv.best.calibration, source.num_seen_classes())
+        .expect("calibration");
+    let report = evaluate_gzsl_with(&engine, source).expect("direct evaluate");
+    (cv, report)
+}
+
 #[test]
 fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
     let ds = dataset();
@@ -40,7 +64,7 @@ fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
     export_dataset(&ds, &dir, FeatureFormat::Zsb).expect("export");
     let bundle = StreamingBundle::open(&dir, 7).expect("open");
 
-    let (direct_cv, direct_report) = select_train_evaluate(&ds, &config).expect("direct");
+    let (direct_cv, direct_report) = direct_protocol(&EszslTrainer::default(), &ds, &config);
 
     // In-memory source.
     let trained = Pipeline::from(&ds)
@@ -86,10 +110,62 @@ fn pipeline_facade_equals_direct_protocol_for_every_source_kind() {
 }
 
 #[test]
+fn normalizing_eszsl_trainer_matches_the_direct_protocol_and_keeps_its_provenance() {
+    let ds = dataset();
+    let config = small_config();
+    let normalizing = || {
+        EszslConfig::new()
+            .normalize_features(true)
+            .normalize_signatures(true)
+            .build()
+    };
+    let trained = Pipeline::from(&ds)
+        .with_trainer(normalizing())
+        .cross_validate(&config)
+        .expect("cv")
+        .train()
+        .expect("train");
+
+    // Facade == sweep + refit at the winner + evaluate, bit for bit.
+    let (direct_cv, direct_report) = direct_protocol(&normalizing(), &ds, &config);
+    assert_eq!(trained.cv_report(), Some(&direct_cv));
+    assert_eq!(trained.evaluate().expect("evaluate"), direct_report);
+    let direct_model = normalizing()
+        .with_point(direct_cv.best.gamma, direct_cv.best.lambda)
+        .fit(&ds)
+        .expect("direct fit");
+    assert_eq!(
+        trained
+            .model()
+            .projection()
+            .expect("linear")
+            .weights()
+            .as_slice(),
+        direct_model
+            .projection()
+            .expect("linear")
+            .weights()
+            .as_slice()
+    );
+
+    // The artifact's provenance is byte-for-byte the string the normalizing
+    // ESZSL pipeline has always written for this dataset and sweep.
+    let path = temp_dir("normalized").with_extension("zsm");
+    trained.save(&path).expect("save");
+    let (_, metadata) = ScoringEngine::load_with_metadata(&path).expect("load");
+    assert_eq!(
+        metadata,
+        "trainer=eszsl; gamma=0.1; lambda=0.1; normalize_features=true; \
+         normalize_signatures=true; similarity=cosine; seen_classes=8; unseen_classes=3"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn pipeline_save_then_serve_round_trips_bit_identically() {
     let ds = dataset();
     let trained = Pipeline::from(&ds)
-        .config(EszslConfig::new().gamma(0.3).lambda(3.0))
+        .with_trainer(EszslConfig::new().gamma(0.3).lambda(3.0).build())
         .train()
         .expect("train");
     let report = trained.evaluate().expect("evaluate");
@@ -102,7 +178,7 @@ fn pipeline_save_then_serve_round_trips_bit_identically() {
         "provenance must record the hyperparameters: {metadata}"
     );
     // Serving: engine + source only, no retraining.
-    let served = zsl_core::eval::evaluate_gzsl_with(&engine, &ds).expect("serve");
+    let served = evaluate_gzsl_with(&engine, &ds).expect("serve");
     assert_eq!(served, report);
     assert_eq!(
         engine.predict(&ds.test_unseen_x),
@@ -115,12 +191,13 @@ fn pipeline_save_then_serve_round_trips_bit_identically() {
 fn memory_source_replaces_the_old_raw_matrix_cross_validate() {
     let ds = dataset();
     let config = small_config();
-    // The pre-PR 5 call was cross_validate(&x, &labels, &signatures, &cfg);
-    // the MemorySource wrapper must reproduce the Dataset sweep exactly
-    // (same trainval data, same seeded folds).
+    // Bare matrices enter the sweep through MemorySource, which must
+    // reproduce the Dataset sweep exactly (same trainval data, same seeded
+    // folds).
+    let eszsl = EszslTrainer::default();
     let source = MemorySource::new(&ds.train_x, &ds.train_labels, &ds.seen_signatures);
-    let via_memory = cross_validate(&source, &config).expect("memory cv");
-    let via_dataset = cross_validate(&ds, &config).expect("dataset cv");
+    let via_memory = cross_validate_with(&eszsl, &source, &config).expect("memory cv");
+    let via_dataset = cross_validate_with(&eszsl, &ds, &config).expect("dataset cv");
     assert_eq!(via_memory, via_dataset);
 }
 
@@ -128,11 +205,12 @@ fn memory_source_replaces_the_old_raw_matrix_cross_validate() {
 fn generic_entry_points_share_one_error_type_with_sources() {
     let ds = dataset();
     // Config errors.
-    let err = cross_validate(&ds, &small_config().folds(1)).unwrap_err();
+    let err =
+        cross_validate_with(&EszslTrainer::default(), &ds, &small_config().folds(1)).unwrap_err();
     assert!(matches!(err, ZslError::Config(_)));
     // Train errors flow through with a source() chain.
     let err = Pipeline::from(&ds)
-        .config(EszslConfig::new().gamma(-3.0))
+        .with_trainer(EszslConfig::new().gamma(-3.0).build())
         .train()
         .unwrap_err();
     assert!(matches!(err, ZslError::Train(_)));
@@ -184,7 +262,7 @@ fn serving_a_model_from_another_feature_space_is_a_typed_error_not_a_panic() {
         matches!(&err, ZslError::Config(msg) if msg.contains("feature space")),
         "got {err:?}"
     );
-    let err = zsl_core::eval::evaluate_gzsl_with(&engine, &narrow).unwrap_err();
+    let err = evaluate_gzsl_with(&engine, &narrow).unwrap_err();
     assert!(matches!(&err, ZslError::Config(_)), "got {err:?}");
     std::fs::remove_file(&path).ok();
 }

@@ -23,7 +23,7 @@ use zsl_core::data::{
 };
 use zsl_core::linalg::Matrix;
 use zsl_core::model::{EszslProblem, GramAccumulator};
-use zsl_core::{DataError, Rng};
+use zsl_core::{DataError, MemorySource, Rng};
 
 /// Unique scratch directory per test so parallel test binaries never collide.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -129,7 +129,8 @@ fn random_chunk_boundaries_never_change_gram_digests() {
             .collect();
         let signatures = Matrix::from_vec(z, a, (0..z * a).map(|_| sweep.normal()).collect());
 
-        let reference = EszslProblem::new(&x, &labels, &signatures).expect("problem");
+        let reference = EszslProblem::from_source(&MemorySource::new(&x, &labels, &signatures))
+            .expect("problem");
         let (ref_xtx, ref_xtys) = (
             digest_matrix(reference.xtx()),
             digest_matrix(reference.xtys()),

@@ -3,7 +3,7 @@
 //! on pre-normalized banks, and chunked streaming over the real pipeline.
 
 use zsl_core::data::SyntheticConfig;
-use zsl_core::infer::{Classifier, ScoringEngine, Similarity};
+use zsl_core::infer::{ScoringEngine, Similarity};
 use zsl_core::linalg::{default_threads, Matrix};
 use zsl_core::model::{EszslConfig, ProjectionModel};
 
@@ -68,14 +68,29 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
     // Dot against a pre-normalized bank scores each sample by ‖p‖·cos(p, s);
     // the per-sample scale cancels inside argmax and ranking, so predictions
     // must agree exactly with cosine similarity.
-    let cosine = Classifier::new(model.clone(), bank, Similarity::Cosine);
-    let dot = Classifier::new(model, normalized_bank, Similarity::Dot);
+    let cosine = ScoringEngine::new(model.clone(), bank, Similarity::Cosine);
+    let dot = ScoringEngine::new(model, normalized_bank, Similarity::Dot);
     assert_eq!(cosine.predict(&x), dot.predict(&x));
     let cosine_top3 = cosine.predict_topk(&x, 3);
     let dot_top3 = dot.predict_topk(&x, 3);
     for (c, d) in cosine_top3.iter().zip(&dot_top3) {
         assert_eq!(c.classes, d.classes);
     }
+    assert_eq!(cosine.threads(), default_threads().max(1));
+    // Engine predictions must not depend on the thread count.
+    let serial = ScoringEngine::with_threads(
+        cosine.model().clone(),
+        cosine.signatures().to_matrix(),
+        Similarity::Dot, // bank already normalized inside the engine
+        1,
+    );
+    let parallel = ScoringEngine::with_threads(
+        cosine.model().clone(),
+        cosine.signatures().to_matrix(),
+        Similarity::Dot,
+        8,
+    );
+    assert_eq!(serial.predict(&x), parallel.predict(&x));
 }
 
 #[test]
@@ -98,34 +113,9 @@ fn chunked_streaming_matches_full_scores_on_trained_pipeline() {
 }
 
 #[test]
-fn classifier_wrapper_delegates_to_engine() {
-    let (model, bank, x) = trained_setup();
-    let clf = Classifier::new(model.clone(), bank.clone(), Similarity::Cosine);
-    let engine = ScoringEngine::new(model, bank, Similarity::Cosine);
-    assert_eq!(clf.num_classes(), engine.num_classes());
-    assert_eq!(clf.predict(&x), engine.predict(&x));
-    assert_eq!(clf.scores(&x).as_slice(), engine.scores(&x).as_slice());
-    assert_eq!(clf.engine().threads(), default_threads().max(1));
-    // Engine predictions must not depend on the thread count.
-    let serial = ScoringEngine::with_threads(
-        clf.engine().model().clone(),
-        clf.engine().signatures().to_matrix(),
-        Similarity::Dot, // bank already normalized inside the engine
-        1,
-    );
-    let parallel = ScoringEngine::with_threads(
-        clf.engine().model().clone(),
-        clf.engine().signatures().to_matrix(),
-        Similarity::Dot,
-        8,
-    );
-    assert_eq!(serial.predict(&x), parallel.predict(&x));
-}
-
-#[test]
 fn predict_topk_equals_full_sort_on_trained_pipeline() {
     let (model, bank, x) = trained_setup();
-    let clf = Classifier::new(model, bank, Similarity::Cosine);
+    let clf = ScoringEngine::new(model, bank, Similarity::Cosine);
     let scores = clf.scores(&x);
     let z = clf.num_classes();
     for k in [1usize, 2, z, z + 3] {
@@ -182,11 +172,6 @@ fn try_new_returns_typed_errors_where_new_panics() {
             Err(ZslError::Config(msg)) => assert!(!msg.is_empty(), "{what}"),
             other => panic!("{what}: expected Config error, got {other:?}"),
         }
-        // The Classifier mirror behaves identically.
-        assert!(matches!(
-            Classifier::try_new(identity(), bank, Similarity::Cosine),
-            Err(ZslError::Config(_))
-        ));
     }
 
     // A valid bank builds the same engine `new` does, bit for bit.

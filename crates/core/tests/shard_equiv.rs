@@ -14,8 +14,9 @@
 
 use zsl_core::data::Rng;
 use zsl_core::{
-    cross_validate, evaluate_gzsl, evaluate_gzsl_with, BankShards, CrossValConfig, EszslConfig,
-    Matrix, ProjectionModel, ScoringEngine, ScoringPrecision, Similarity, SyntheticConfig,
+    cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, BankShards, CrossValConfig,
+    EszslConfig, EszslTrainer, Matrix, ProjectionModel, ScoringEngine, ScoringPrecision,
+    Similarity, SyntheticConfig,
 };
 
 /// Bank-row pairs duplicated verbatim so their scores tie bitwise. Each pair
@@ -297,14 +298,17 @@ fn cross_validation_calibration_axis_sweeps_and_stays_legacy_compatible() {
         .seed(11);
     // The default axis is exactly [0.0]: spelling it out must reproduce the
     // legacy report byte-for-byte (same grid, same folds, same best point).
-    let legacy = cross_validate(&ds, &base).expect("legacy cv");
-    let explicit = cross_validate(&ds, &base.clone().calibrations(vec![0.0])).expect("explicit cv");
+    let cross_validate = |config: &CrossValConfig| {
+        cross_validate_with(&EszslTrainer::default(), &ds, config).expect("cv")
+    };
+    let legacy = cross_validate(&base);
+    let explicit = cross_validate(&base.clone().calibrations(vec![0.0]));
     assert_eq!(legacy, explicit);
     assert!(legacy.grid.iter().all(|p| p.calibration == 0.0));
 
     // A real sweep triples the grid and selects a finite, non-negative γ_cal
     // by pseudo-unseen harmonic mean.
-    let swept = cross_validate(&ds, &base.calibrations(vec![0.0, 0.1, 0.3])).expect("swept cv");
+    let swept = cross_validate(&base.calibrations(vec![0.0, 0.1, 0.3]));
     assert_eq!(swept.grid.len(), legacy.grid.len() * 3);
     assert!(swept.best.calibration.is_finite() && swept.best.calibration >= 0.0);
     assert!(swept

@@ -30,12 +30,25 @@ use zsl_core::data::{
     SPLITS_TXT,
 };
 use zsl_core::eval::{
-    cross_validate, evaluate_gzsl, evaluate_gzsl_with, select_train_evaluate, CrossValConfig,
+    cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, CrossValConfig, CrossValReport,
+    GzslReport,
 };
 use zsl_core::infer::Similarity;
-use zsl_core::model::{EszslConfig, EszslProblem, GramAccumulator};
+use zsl_core::model::{EszslConfig, EszslProblem, EszslTrainer, GramAccumulator};
 use zsl_core::source::{FeatureSource, SplitKind};
-use zsl_core::{Dataset, MemorySource, Rng, ScoringEngine};
+use zsl_core::{Dataset, MemorySource, Pipeline, Rng, ScoringEngine};
+
+/// The full protocol through the facade: cross-validate on trainval, refit
+/// at the winner, evaluate GZSL.
+fn protocol(source: &dyn FeatureSource, config: &CrossValConfig) -> (CrossValReport, GzslReport) {
+    let trained = Pipeline::from(source)
+        .cross_validate(config)
+        .expect("cv")
+        .train()
+        .expect("train");
+    let report = trained.evaluate().expect("evaluate");
+    (trained.cv_report().expect("cv report").clone(), report)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_stream_equiv_{}_{tag}", std::process::id()))
@@ -223,12 +236,11 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
             .expect("load")
             .to_dataset()
             .expect("materialize");
-        let (mem_cv, mem_report) =
-            select_train_evaluate(&mem, &config).expect("in-memory protocol");
+        let (mem_cv, mem_report) = protocol(&mem, &config);
 
         for chunk_rows in chunk_sizes(mem.train_x.rows()) {
             let bundle = StreamingBundle::open_with_format(&dir, format, chunk_rows).expect("open");
-            let (cv, report) = select_train_evaluate(&bundle, &config).expect("streamed protocol");
+            let (cv, report) = protocol(&bundle, &config);
             assert_eq!(cv, mem_cv, "{format:?} chunk_rows={chunk_rows}");
             assert_eq!(report, mem_report, "{format:?} chunk_rows={chunk_rows}");
         }
@@ -237,8 +249,9 @@ fn streamed_full_protocol_matches_select_train_evaluate_on_both_formats() {
         // MemorySource sweep over the same trainval data.
         let bundle = StreamingBundle::open_with_format(&dir, format, 5).expect("open");
         let source = MemorySource::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures);
-        let raw_cv = cross_validate(&source, &config).expect("raw cv");
-        let streamed_cv = cross_validate(&bundle, &config).expect("streamed cv");
+        let eszsl = EszslTrainer::default();
+        let raw_cv = cross_validate_with(&eszsl, &source, &config).expect("raw cv");
+        let streamed_cv = cross_validate_with(&eszsl, &bundle, &config).expect("streamed cv");
         assert_eq!(streamed_cv, raw_cv, "{format:?}");
         std::fs::remove_dir_all(&dir).ok();
     }

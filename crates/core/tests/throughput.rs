@@ -199,7 +199,7 @@ fn streamed_vs_in_memory_ingestion_and_training() {
             .expect("load")
             .to_dataset()
             .expect("materialize");
-        EszslProblem::new(&mem.train_x, &mem.train_labels, &mem.seen_signatures).expect("problem")
+        EszslProblem::from_source(&mem).expect("problem")
     };
     let streamed = || -> EszslProblem {
         let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");

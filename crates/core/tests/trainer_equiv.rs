@@ -8,9 +8,9 @@
 //!    chunk size, for every family (weights for the linear families, dual
 //!    weights + anchors for the kernel family).
 //! 2. **Protocol invariance** — seeded cross-validation and the GZSL report
-//!    through [`cross_validate_with`] / [`select_train_evaluate_with`]
-//!    produce the same bits streamed and in-memory, with each family
-//!    sweeping its own grid shape.
+//!    through [`cross_validate_with`], a refit at the winning point and
+//!    [`evaluate_gzsl_with`] produce the same bits streamed and in-memory,
+//!    with each family sweeping its own grid shape.
 //! 3. **Artifact round trips** — every family's engine persists to a `.zsm`
 //!    v2 artifact and reloads to bit-identical scores and reports, and a
 //!    resave of the reloaded engine is byte-identical.
@@ -21,11 +21,31 @@
 
 use std::path::PathBuf;
 use zsl_core::data::{export_dataset, DatasetBundle, FeatureFormat, StreamingBundle};
-use zsl_core::eval::{cross_validate_with, select_train_evaluate_with, CrossValConfig};
+use zsl_core::eval::{cross_validate_with, CrossValConfig, CrossValReport, GzslReport};
 use zsl_core::infer::{ScoringEngine, ScoringPrecision, Similarity};
 use zsl_core::model::{EszslConfig, EszslProblem};
+use zsl_core::source::FeatureSource;
 use zsl_core::trainer::{KernelEszslConfig, KernelKind, SaeConfig, TrainedModel, Trainer};
 use zsl_core::{evaluate_gzsl_with, Dataset, MemorySource, SyntheticConfig};
+
+/// Refit `trainer` at the sweep's winning point on the full trainval split
+/// and run the GZSL protocol with the winning calibration.
+fn refit_and_evaluate(
+    trainer: &dyn Trainer,
+    source: &dyn FeatureSource,
+    cv: &CrossValReport,
+    config: &CrossValConfig,
+) -> GzslReport {
+    let model = trainer
+        .with_point(cv.best.gamma, cv.best.lambda)
+        .fit(source)
+        .expect("refit");
+    let engine = ScoringEngine::try_new(model, source.union_signatures(), config.similarity)
+        .expect("engine")
+        .with_calibration(cv.best.calibration, source.num_seen_classes())
+        .expect("calibration");
+    evaluate_gzsl_with(&engine, source).expect("evaluate")
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zsl_trainer_equiv_{}_{tag}", std::process::id()))
@@ -191,14 +211,12 @@ fn generic_cv_and_gzsl_protocols_are_chunk_invariant_for_every_family() {
             _ => config.gammas.len() * config.lambdas.len(),
         };
         assert_eq!(reference_cv.grid.len(), expected_grid, "{tag}: grid shape");
-        let (_, reference_report) =
-            select_train_evaluate_with(trainer.as_ref(), &mem, &config).expect("protocol");
+        let reference_report = refit_and_evaluate(trainer.as_ref(), &mem, &reference_cv, &config);
         for chunk_rows in chunk_sizes(n) {
             let bundle = StreamingBundle::open(&dir, chunk_rows).expect("open");
             let cv = cross_validate_with(trainer.as_ref(), &bundle, &config).expect("cv");
             assert_eq!(cv, reference_cv, "{tag} chunk={chunk_rows}: cv drifted");
-            let (_, report) =
-                select_train_evaluate_with(trainer.as_ref(), &bundle, &config).expect("protocol");
+            let report = refit_and_evaluate(trainer.as_ref(), &bundle, &cv, &config);
             assert_eq!(
                 report, reference_report,
                 "{tag} chunk={chunk_rows}: report drifted"

@@ -2,10 +2,11 @@
 //!
 //! No async runtime and no HTTP dependency: a nonblocking accept loop, one
 //! thread per connection (keep-alive honored), and a hand-rolled parser for
-//! the tiny request surface the daemon speaks. Every request body is
-//! untrusted: framing errors, oversized bodies, unparsable or non-finite
-//! feature values, and width mismatches are all 4xx responses — the process
-//! never panics on a socket's bytes.
+//! the tiny request surface the daemon speaks. Every request byte is
+//! untrusted: framing errors, a request line or header line over 8 KiB or
+//! more than 100 header lines (`431`), oversized bodies (`413`), unparsable or non-finite feature values, and
+//! width mismatches are all 4xx responses — the process never panics on a
+//! socket's bytes, and a connection's header memory stays bounded.
 //!
 //! ## Protocol
 //!
@@ -38,6 +39,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Longest request line or header line the daemon reads, line terminator
+/// included. A longer line is answered `431` and the connection closed, so
+/// one connection cannot grow the daemon's memory through its headers.
+const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry (the blank line ending the
+/// headers not counted); more is answered `431`.
+const MAX_HEADER_LINES: usize = 100;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -253,6 +263,16 @@ fn handle_connection(
                 );
                 return;
             }
+            Err(ReadError::HeadersTooLarge) => {
+                respond(
+                    &mut writer,
+                    431,
+                    "Request Header Fields Too Large",
+                    "request line or headers too large\n",
+                    false,
+                );
+                return;
+            }
             Err(ReadError::Malformed(msg)) => {
                 respond(&mut writer, 400, "Bad Request", &format!("{msg}\n"), false);
                 return;
@@ -282,7 +302,32 @@ fn handle_connection(
 enum ReadError {
     Io,
     TooLarge,
+    HeadersTooLarge,
     Malformed(String),
+}
+
+/// Read one line of the request head into `line` (cleared first), reading
+/// at most [`MAX_HEADER_LINE_BYTES`] bytes. Returns the byte count; 0 means
+/// EOF. A line that fills the cap without its terminating newline is
+/// [`ReadError::HeadersTooLarge`].
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+) -> Result<usize, ReadError> {
+    line.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_HEADER_LINE_BYTES as u64)
+        .read_until(b'\n', line)
+        .map_err(|_| ReadError::Io)?;
+    if n == MAX_HEADER_LINE_BYTES && line.last() != Some(&b'\n') {
+        return Err(ReadError::HeadersTooLarge);
+    }
+    Ok(n)
+}
+
+fn head_text(line: &[u8]) -> Result<&str, ReadError> {
+    std::str::from_utf8(line).map_err(|_| ReadError::Malformed("request head is not UTF-8".into()))
 }
 
 /// Parse one HTTP/1.1 request off the wire. `Ok(None)` is a clean EOF
@@ -291,12 +336,11 @@ fn read_request(
     reader: &mut BufReader<TcpStream>,
     max_body: usize,
 ) -> Result<Option<Request>, ReadError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(_) => return Err(ReadError::Io),
+    let mut buf = Vec::new();
+    if read_head_line(reader, &mut buf)? == 0 {
+        return Ok(None);
     }
+    let line = head_text(&buf)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), t.to_string()),
@@ -310,16 +354,18 @@ fn read_request(
 
     let mut content_length = 0usize;
     let mut keep_alive = true;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return Err(ReadError::Malformed("eof inside headers".into())),
-            Ok(_) => {}
-            Err(_) => return Err(ReadError::Io),
+        if read_head_line(reader, &mut buf)? == 0 {
+            return Err(ReadError::Malformed("eof inside headers".into()));
         }
-        let header = header.trim_end();
+        let header = head_text(&buf)?.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADER_LINES {
+            return Err(ReadError::HeadersTooLarge);
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(ReadError::Malformed(format!("bad header: {header}")));

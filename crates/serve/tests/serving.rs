@@ -289,6 +289,69 @@ fn untrusted_input_gets_typed_responses_and_the_daemon_survives() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Send raw request bytes and return the response's status code, or `None`
+/// when no response arrives within a short timeout. Write errors are
+/// ignored: the daemon may answer and close before reading every byte.
+fn raw_status(addr: SocketAddr, request: &[u8]) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let timeout = Some(Duration::from_secs(5));
+    stream.set_read_timeout(timeout).expect("timeout");
+    stream.set_write_timeout(timeout).expect("timeout");
+    stream.write_all(request).ok();
+    let mut response = Vec::new();
+    // A reset after the response still leaves the response bytes read.
+    stream.read_to_end(&mut response).ok();
+    String::from_utf8_lossy(&response)
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+}
+
+#[test]
+fn request_head_caps_answer_431_and_the_daemon_keeps_serving() {
+    let path = temp_artifact("head_caps");
+    random_engine(109, 4, 3, 5, Similarity::Cosine)
+        .save(&path)
+        .expect("save");
+    let server = Server::start(&path, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+
+    let mebibyte = "a".repeat(1 << 20);
+    for (what, request) in [
+        (
+            "1 MiB header line, no newline",
+            format!("GET /healthz HTTP/1.1\r\nX-Long: {mebibyte}"),
+        ),
+        ("1 MiB request line, no newline", format!("GET /{mebibyte}")),
+        (
+            "101 header lines",
+            format!(
+                "GET /healthz HTTP/1.1\r\n{}\r\n",
+                "X-Filler: 1\r\n".repeat(101)
+            ),
+        ),
+    ] {
+        assert_eq!(raw_status(addr, request.as_bytes()), Some(431), "{what}");
+    }
+    // A head just inside both caps is still served: 100 header lines, one
+    // of them exactly 8 KiB long with its CRLF.
+    let at_cap = format!(
+        "GET /healthz HTTP/1.1\r\nX-Long: {}\r\n{}Connection: close\r\n\r\n",
+        "a".repeat((8 << 10) - "X-Long: \r\n".len()),
+        "X-Filler: 1\r\n".repeat(98)
+    );
+    assert_eq!(raw_status(addr, at_cap.as_bytes()), Some(200));
+    // A head that is not UTF-8 is a framing error, answered like one.
+    assert_eq!(
+        raw_status(addr, b"GET /healthz HTTP/1.1\r\nX-Bad: \xff\r\n\r\n"),
+        Some(400)
+    );
+
+    // And the daemon still serves after all of that.
+    assert_eq!(get(addr, "/healthz").0, 200);
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Coalescing under concurrent load
 // ---------------------------------------------------------------------------
