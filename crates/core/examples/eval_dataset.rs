@@ -368,8 +368,8 @@ fn main() -> ExitCode {
             // Serving boots from the artifact alone: the engine (projection,
             // cached bank, similarity) comes off disk with no training data
             // and no closed-form solve.
-            let (engine, metadata) = match ScoringEngine::load_with_metadata(&path) {
-                Ok(out) => out,
+            let engine = match ScoringEngine::load(&path) {
+                Ok(engine) => engine,
                 Err(e) => {
                     eprintln!("failed to load model artifact {}: {e}", path.display());
                     return ExitCode::FAILURE;
@@ -383,8 +383,8 @@ fn main() -> ExitCode {
                 engine.signatures().cols(),
                 engine.similarity()
             );
-            if !metadata.is_empty() {
-                println!("provenance: {metadata}");
+            if !engine.metadata().is_empty() {
+                println!("provenance: {}", engine.metadata());
             }
             with_source(&dir, format, stream, chunk_rows, |source, _feature_dim| {
                 print_splits(source);

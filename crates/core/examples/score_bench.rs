@@ -58,8 +58,8 @@ fn main() {
 
     let mut baseline = None;
     for &threads in &sweep {
-        let engine =
-            ScoringEngine::with_threads(model.clone(), bank.clone(), Similarity::Cosine, threads);
+        let mut engine = ScoringEngine::new(model.clone(), bank.clone(), Similarity::Cosine);
+        engine.set_threads(threads);
         engine.predict(&x); // warm-up
         let mut best = f64::INFINITY;
         for _ in 0..3 {

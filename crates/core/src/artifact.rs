@@ -64,7 +64,7 @@
 
 use crate::data::DataError;
 use crate::error::ZslError;
-use crate::infer::{ScoringEngine, Similarity};
+use crate::infer::{Bank, ScoringEngine, ScoringPrecision, Similarity};
 use crate::linalg::Matrix;
 use crate::mmap::MappedFile;
 use crate::model::ProjectionModel;
@@ -120,18 +120,11 @@ const FLAG_BANK_ALIGNED: u16 = 1 << 2;
 const FLAG_CALIBRATED: u16 = 1 << 3;
 
 impl ScoringEngine {
-    /// Persist this engine as a `.zsm` artifact with empty provenance
-    /// metadata. See [`ScoringEngine::save_with_metadata`].
-    pub fn save(&self, path: &Path) -> Result<(), ZslError> {
-        self.save_with_metadata(path, "")
-    }
-
     /// Persist this engine as a versioned `.zsm` artifact: projection `W`,
     /// cached signature bank (zero-padded to a 64-byte file offset so mmap
     /// boots can borrow it in place), similarity, normalization flag, any
-    /// seen-prefix calibration, and a free-form UTF-8 provenance string
-    /// (hyperparameters, source dataset, …) that
-    /// [`ScoringEngine::load_with_metadata`] returns verbatim.
+    /// seen-prefix calibration, and the engine's provenance
+    /// ([`ScoringEngine::metadata`]), which the loaders restore verbatim.
     ///
     /// The write is atomic: bytes land in a temporary file beside the target
     /// and are renamed over it, so a crash mid-save never leaves a truncated
@@ -145,8 +138,9 @@ impl ScoringEngine {
     /// and shard layout are runtime properties and are not stored. An engine
     /// carrying a cross-validation-internal calibration mask (as opposed to
     /// a seen-class prefix) cannot be persisted and is a typed error.
-    pub fn save_with_metadata(&self, path: &Path, metadata: &str) -> Result<(), ZslError> {
+    pub fn save(&self, path: &Path) -> Result<(), ZslError> {
         let model = self.model();
+        let metadata = self.metadata();
         let bank = self.signatures();
         if self.has_mask_calibration() {
             return Err(ZslError::Config(
@@ -184,7 +178,7 @@ impl ScoringEngine {
         } else {
             0
         };
-        if self.precision() == crate::infer::ScoringPrecision::F32 {
+        if self.precision() == ScoringPrecision::F32 {
             flags |= FLAG_SCORE_F32;
         }
         flags |= FLAG_BANK_ALIGNED;
@@ -244,14 +238,9 @@ impl ScoringEngine {
             .map_err(|e| ZslError::Data(DataError::io(e.path, e.source)))
     }
 
-    /// Load a `.zsm` artifact written by [`ScoringEngine::save`], discarding
-    /// its provenance metadata. The engine uses one worker thread per
-    /// available core, like [`ScoringEngine::new`].
-    pub fn load(path: &Path) -> Result<ScoringEngine, ZslError> {
-        Ok(Self::load_with_metadata(path)?.0)
-    }
-
-    /// Load a `.zsm` artifact plus its provenance metadata string.
+    /// Load a `.zsm` artifact written by [`ScoringEngine::save`], provenance
+    /// metadata included. The engine uses one worker thread per available
+    /// core, like [`ScoringEngine::try_new`].
     ///
     /// Every header field is validated before any payload is interpreted:
     /// magic, version, flags, similarity byte, reserved bytes, non-zero
@@ -260,11 +249,11 @@ impl ScoringEngine {
     /// (truncation *and* trailing garbage are errors), UTF-8 metadata,
     /// alignment padding actually zero, calibration block sanity, and finite
     /// `W`/bank values.
-    pub fn load_with_metadata(path: &Path) -> Result<(ScoringEngine, String), ZslError> {
+    pub fn load(path: &Path) -> Result<ScoringEngine, ZslError> {
         read_zsm(path).map_err(ZslError::Data)
     }
 
-    /// [`ScoringEngine::load_with_metadata`] in opt-in mmap mode: the file is
+    /// [`ScoringEngine::load`] in opt-in mmap mode: the file is
     /// memory-mapped and — when it is a v2 artifact with an aligned bank, on
     /// a little-endian Unix host — the engine *borrows* the bank rows from
     /// the mapping instead of heap-copying them, so boot-time resident memory
@@ -277,7 +266,11 @@ impl ScoringEngine {
     /// big-endian hosts, and mapping failures all fall back to the heap
     /// loader transparently — the result differs only in where the bank
     /// lives, never in any scored bit.
-    pub fn load_mapped(path: &Path) -> Result<(ScoringEngine, String), ZslError> {
+    ///
+    /// Mapping is opt-in because a mapped artifact must never be rewritten in
+    /// place: `save` replaces files by rename, but a `cp` over the file
+    /// truncates the mapped inode and the next bank read faults (`SIGBUS`).
+    pub fn load_mapped(path: &Path) -> Result<ScoringEngine, ZslError> {
         read_zsm_mapped(path).map_err(ZslError::Data)
     }
 }
@@ -699,50 +692,40 @@ fn copy_bank(bytes: &[u8], parsed: &ParsedZsm) -> Matrix {
     Matrix::from_vec(z, a, data)
 }
 
-/// Apply the post-construction engine state a `.zsm` file carries: scoring
-/// precision and calibration. Shared by every loader path.
-fn finish_engine(
-    mut engine: ScoringEngine,
-    parsed: &ParsedZsm,
-    path: &Path,
-) -> Result<ScoringEngine, DataError> {
+/// The parse → engine tail shared by both loaders: assemble the engine
+/// over `bank` exactly as stored (no re-normalization, which is what makes
+/// the round trip bit-identical), then restore the scoring precision,
+/// calibration and provenance the file carries. Validation failures — shape
+/// or finiteness inconsistencies a crafted header could smuggle past
+/// [`parse_zsm`] — are typed errors: this is the serving boot path, and it
+/// must never panic on untrusted bytes.
+fn build_engine(parsed: ParsedZsm, bank: Bank, path: &Path) -> Result<ScoringEngine, DataError> {
+    let mut engine = ScoringEngine::from_bank(parsed.model, bank, parsed.similarity)
+        .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?;
     if parsed.score_f32 {
-        engine = engine.with_precision(crate::infer::ScoringPrecision::F32);
+        engine = engine.with_precision(ScoringPrecision::F32);
     }
     if let Some((gamma_cal, seen)) = parsed.calibration {
         engine = engine
             .with_calibration(gamma_cal, seen)
             .map_err(|e| DataError::header(path, format!("inconsistent calibration block: {e}")))?;
     }
-    Ok(engine)
+    Ok(engine.with_metadata(parsed.metadata))
 }
 
 /// Heap loader: read the whole file, parse, copy the bank out.
-fn read_zsm(path: &Path) -> Result<(ScoringEngine, String), DataError> {
+fn read_zsm(path: &Path) -> Result<ScoringEngine, DataError> {
     let bytes = std::fs::read(path).map_err(|e| DataError::io(path, e))?;
     let parsed = parse_zsm(&bytes, path)?;
-    let bank = copy_bank(&bytes, &parsed);
-    // from_cached_parts takes the bank exactly as stored — no
-    // re-normalization — which is what makes the round trip bit-identical.
-    // Its validation failures (shape/finiteness inconsistencies a crafted
-    // header could smuggle past the checks above) are typed errors: this is
-    // the serving boot path, and it must never panic on untrusted bytes.
-    let engine = ScoringEngine::from_cached_parts(
-        parsed.model.clone(),
-        bank,
-        parsed.similarity,
-        crate::linalg::default_threads(),
-    )
-    .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?;
-    let engine = finish_engine(engine, &parsed, path)?;
-    Ok((engine, parsed.metadata))
+    let bank = Bank::Owned(copy_bank(&bytes, &parsed));
+    build_engine(parsed, bank, path)
 }
 
 /// Mmap loader: map the file, parse against the mapped bytes, and borrow the
 /// bank zero-copy when the layout allows it; otherwise copy to the heap from
 /// the same mapping (legacy/unaligned files) or fall back to [`read_zsm`]
 /// entirely (targets or files that cannot map).
-fn read_zsm_mapped(path: &Path) -> Result<(ScoringEngine, String), DataError> {
+fn read_zsm_mapped(path: &Path) -> Result<ScoringEngine, DataError> {
     let file = std::fs::File::open(path).map_err(|e| DataError::io(path, e))?;
     let len = file.metadata().map_err(|e| DataError::io(path, e))?.len();
     let mapped = usize::try_from(len)
@@ -754,7 +737,6 @@ fn read_zsm_mapped(path: &Path) -> Result<(ScoringEngine, String), DataError> {
         // error) from a plain read.
         return read_zsm(path);
     };
-    let map = Arc::new(map);
     let parsed = parse_zsm(map.as_bytes(), path)?;
     // Zero-copy needs the writer's 64-byte alignment (so the mapped bank is
     // 8-byte aligned) and a little-endian host (the payload is LE f64). The
@@ -763,29 +745,17 @@ fn read_zsm_mapped(path: &Path) -> Result<(ScoringEngine, String), DataError> {
     let zero_copy = parsed.aligned
         && parsed.bank_offset % ZSM_BANK_ALIGN == 0
         && cfg!(target_endian = "little");
-    let engine = if zero_copy {
-        ScoringEngine::from_mapped_parts(
-            parsed.model.clone(),
-            Arc::clone(&map),
+    let bank = if zero_copy {
+        Bank::mapped(
+            Arc::new(map),
             parsed.bank_offset,
             parsed.bank_rows,
             parsed.bank_cols,
-            parsed.similarity,
-            crate::linalg::default_threads(),
         )
-        .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?
     } else {
-        let bank = copy_bank(map.as_bytes(), &parsed);
-        ScoringEngine::from_cached_parts(
-            parsed.model.clone(),
-            bank,
-            parsed.similarity,
-            crate::linalg::default_threads(),
-        )
-        .map_err(|msg| DataError::header(path, format!("inconsistent model payload: {msg}")))?
+        Bank::Owned(copy_bank(map.as_bytes(), &parsed))
     };
-    let engine = finish_engine(engine, &parsed, path)?;
-    Ok((engine, parsed.metadata))
+    build_engine(parsed, bank, path)
 }
 
 /// L2 norm of one bank row slice.
@@ -826,8 +796,7 @@ mod tests {
         let path = temp_path("meta");
         let engine = random_engine(5, 3, 2, 4, Similarity::Dot);
         engine.save(&path).expect("save");
-        let (_, metadata) = ScoringEngine::load_with_metadata(&path).expect("load");
-        assert_eq!(metadata, "");
+        assert_eq!(ScoringEngine::load(&path).expect("load").metadata(), "");
         std::fs::remove_file(&path).ok();
         assert!(matches!(
             ScoringEngine::load(&path),
@@ -841,16 +810,17 @@ mod tests {
         // alignment residues, including zero pad.
         for meta_len in [0usize, 1, 7, 15, 16, 63, 64, 100] {
             let path = temp_path(&format!("align{meta_len}"));
-            let engine = random_engine(meta_len as u64 + 11, 3, 2, 4, Similarity::Cosine);
             let metadata = "m".repeat(meta_len);
-            engine.save_with_metadata(&path, &metadata).expect("save");
+            let engine = random_engine(meta_len as u64 + 11, 3, 2, 4, Similarity::Cosine)
+                .with_metadata(metadata.clone());
+            engine.save(&path).expect("save");
             let raw = std::fs::read(&path).expect("read");
             let model_end = ZSM_HEADER_LEN as usize + meta_len + 8 * 3 * 2;
             let bank_offset = model_end + bank_pad(model_end);
             assert_eq!(bank_offset % ZSM_BANK_ALIGN, 0, "meta_len={meta_len}");
             assert_eq!(raw.len(), bank_offset + 8 * 4 * 2, "meta_len={meta_len}");
-            let (back, meta) = ScoringEngine::load_with_metadata(&path).expect("load");
-            assert_eq!(meta, metadata);
+            let back = ScoringEngine::load(&path).expect("load");
+            assert_eq!(back.metadata(), metadata);
             assert_eq!(back.signatures().as_slice(), engine.signatures().as_slice());
             std::fs::remove_file(&path).ok();
         }
@@ -859,8 +829,8 @@ mod tests {
     #[test]
     fn non_zero_alignment_padding_is_a_typed_header_error() {
         let path = temp_path("padcorrupt");
-        let engine = random_engine(21, 3, 2, 4, Similarity::Dot);
-        engine.save_with_metadata(&path, "m").expect("save");
+        let engine = random_engine(21, 3, 2, 4, Similarity::Dot).with_metadata("m");
+        engine.save(&path).expect("save");
         let mut raw = std::fs::read(&path).expect("read");
         let model_end = ZSM_HEADER_LEN as usize + 1 + 8 * 3 * 2;
         let pad = bank_pad(model_end);
@@ -881,14 +851,15 @@ mod tests {
         let path = temp_path("cal");
         let engine = random_engine(31, 3, 2, 6, Similarity::Cosine)
             .with_calibration(0.25, 4)
-            .expect("calibrate");
-        engine.save_with_metadata(&path, "prov").expect("save");
-        let (back, meta) = ScoringEngine::load_with_metadata(&path).expect("load");
-        assert_eq!(meta, "prov");
+            .expect("calibrate")
+            .with_metadata("prov");
+        engine.save(&path).expect("save");
+        let back = ScoringEngine::load(&path).expect("load");
+        assert_eq!(back.metadata(), "prov");
         assert_eq!(back.seen_calibration(), Some((0.25, 4)));
         // Resave is byte-identical (the calibration block is deterministic).
         let path2 = temp_path("cal2");
-        back.save_with_metadata(&path2, "prov").expect("resave");
+        back.save(&path2).expect("resave");
         assert_eq!(
             std::fs::read(&path).expect("a"),
             std::fs::read(&path2).expect("b")

@@ -11,15 +11,15 @@
 //! accuracy) and the generalized protocol (harmonic mean of seen and unseen
 //! accuracy).
 //!
-//! For large class counts the bank can additionally be split into
-//! [`BankShards`] — contiguous row bands scored independently and folded
-//! through a per-row streaming merge, so `predict`/`predict_topk` never
-//! materialize a full `n x num_classes` score matrix — and borrowed zero-copy
-//! from an mmap'd `.zsm` artifact instead of the heap. Both modes are
-//! bit-identical to the monolithic heap engine (pinned by
-//! `tests/shard_equiv.rs`). Calibrated stacking (a seen-class score penalty
-//! `γ_cal`, the classic fix for GZSL seen-swamping) is applied at scoring
-//! time through the same paths.
+//! Every scoring call runs one pass: project a row chunk once, then score
+//! it against the bank one [`BankShards`] band at a time and fold each band
+//! into the caller's reduction (full scores, argmax, or a bounded top-k
+//! heap). By default the bank is one band; more bands bound peak score
+//! memory at large class counts without changing a bit (pinned by
+//! `tests/shard_equiv.rs`). The bank can also be borrowed zero-copy from an
+//! mmap'd `.zsm` artifact instead of the heap. Calibrated stacking (a
+//! seen-class score penalty `γ_cal`, the classic fix for GZSL
+//! seen-swamping) is applied inside the same pass.
 
 use crate::error::ZslError;
 use crate::linalg::{default_threads, gemm_bt_parallel, Matrix, BLOCK, NORM_EPSILON};
@@ -177,13 +177,12 @@ impl BankShards {
 /// The engine's cached signature bank: either owned rows on the heap or rows
 /// borrowed zero-copy from a memory-mapped `.zsm` artifact.
 #[derive(Clone, Debug)]
-enum Bank {
+pub(crate) enum Bank {
     /// Heap-owned `num_classes x attr_dim` rows — the default.
     Owned(Matrix),
     /// Rows borrowed from a mapped artifact: `offset` bytes into the mapping,
-    /// `rows x cols` little-endian `f64`s. The loader guarantees the region
-    /// is in-bounds and 8-byte aligned (64-byte-aligned payload in a
-    /// page-aligned mapping) before constructing this variant.
+    /// `rows x cols` little-endian `f64`s. Built only through
+    /// [`Bank::mapped`], which checks the region.
     Mapped {
         map: Arc<MappedFile>,
         offset: usize,
@@ -193,6 +192,35 @@ enum Bank {
 }
 
 impl Bank {
+    /// Borrow `rows x cols` `f64`s starting `offset` bytes into `map`.
+    /// Panics unless the target is little-endian and the region is in bounds
+    /// and 8-byte aligned — exactly what [`Bank::as_slice`] relies on. The
+    /// `.zsm` loader only asks for a 64-byte-aligned payload in a
+    /// page-aligned mapping, which passes.
+    pub(crate) fn mapped(map: Arc<MappedFile>, offset: usize, rows: usize, cols: usize) -> Bank {
+        let bytes = map.as_bytes();
+        let in_bounds = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(8))
+            .and_then(|n| n.checked_add(offset))
+            .is_some_and(|end| end <= bytes.len());
+        let aligned = bytes
+            .as_ptr()
+            .wrapping_add(offset)
+            .cast::<f64>()
+            .is_aligned();
+        assert!(
+            cfg!(target_endian = "little") && in_bounds && aligned,
+            "mapped bank region {offset}+{rows}x{cols} is out of bounds or misaligned"
+        );
+        Bank::Mapped {
+            map,
+            offset,
+            rows,
+            cols,
+        }
+    }
+
     fn rows(&self) -> usize {
         match self {
             Bank::Owned(m) => m.rows(),
@@ -217,10 +245,10 @@ impl Bank {
                 cols,
             } => {
                 let bytes = &map.as_bytes()[*offset..*offset + rows * cols * 8];
-                // Safety: the loader verified bounds and 8-byte alignment at
-                // construction, the mapping is immutable and lives as long as
-                // the `Arc`, and the target is little-endian (gated by the
-                // loader), so these bytes *are* the bank's f64 rows.
+                // SAFETY: `Bank::mapped` checked bounds, 8-byte alignment and
+                // a little-endian target at construction, and the mapping is
+                // immutable and lives as long as the `Arc`, so these bytes
+                // *are* the bank's f64 rows.
                 unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, rows * cols) }
             }
         }
@@ -300,7 +328,8 @@ struct Calibration {
 /// per-call scoring does no bank clone, no renormalization, and no transpose:
 /// the cached bank rows are already the packed transposed-B layout the
 /// contiguous `X·Sᵀ` kernel wants. Batches are projected and scored through
-/// the row-banded multi-threaded matmul paths in [`crate::linalg`].
+/// the row-banded multi-threaded matmul paths in [`crate::linalg`], one
+/// [`BankShards`] band at a time.
 ///
 /// Results are bit-identical for every thread count and chunk size, so the
 /// engine can be tuned freely without perturbing golden numerics.
@@ -312,8 +341,7 @@ pub struct ScoringEngine {
     /// `num_classes x attr_dim`, one row per candidate class; pre-normalized
     /// when the similarity is cosine. Heap-owned or mmap-borrowed.
     bank: Bank,
-    /// Row-band layout of the bank; a single band reproduces the legacy
-    /// monolithic scoring path verbatim.
+    /// Row-band layout the scoring pass walks; one band by default.
     shards: BankShards,
     /// Optional seen-class score penalty (calibrated stacking); `None` means
     /// scoring is exactly the uncalibrated pipeline, bit-for-bit.
@@ -325,6 +353,9 @@ pub struct ScoringEngine {
     /// exactly when `precision == F32` so scoring never casts parameters
     /// per call.
     f32_parts: Option<F32Parts>,
+    /// Free-form provenance, written into and restored from `.zsm`
+    /// artifacts.
+    metadata: String,
 }
 
 /// Single-precision mirror of an engine's parameters: the trained model's
@@ -354,24 +385,20 @@ enum F32Model {
     },
 }
 
-fn cast_f32(m: &Matrix) -> Vec<f32> {
-    cast_f32_slice(m.as_slice())
-}
-
-fn cast_f32_slice(data: &[f64]) -> Vec<f32> {
+fn cast_f32(data: &[f64]) -> Vec<f32> {
     data.iter().map(|&v| v as f32).collect()
 }
 
 fn build_f32_parts(model: &TrainedModel, bank: &[f64]) -> F32Parts {
     let model32 = match model {
         TrainedModel::Eszsl(p) | TrainedModel::Sae(p) => F32Model::Projection {
-            w: cast_f32(p.weights()),
+            w: cast_f32(p.weights().as_slice()),
             d: p.weights().rows(),
             a: p.weights().cols(),
         },
         TrainedModel::Kernel(km) => F32Model::Kernel {
-            alpha: cast_f32(km.alpha()),
-            anchors: cast_f32(km.anchors()),
+            alpha: cast_f32(km.alpha().as_slice()),
+            anchors: cast_f32(km.anchors().as_slice()),
             k: km.anchors().rows(),
             d: km.anchors().cols(),
             a: km.alpha().cols(),
@@ -380,162 +407,84 @@ fn build_f32_parts(model: &TrainedModel, bank: &[f64]) -> F32Parts {
     };
     F32Parts {
         model: model32,
-        bank: cast_f32_slice(bank),
+        bank: cast_f32(bank),
     }
 }
 
 impl ScoringEngine {
-    /// Build an engine over `signatures` (`num_classes x attr_dim`) using one
-    /// worker thread per available core.
-    ///
-    /// Panics if the bank is empty, zero-width, contains a non-finite value,
-    /// or its width does not match the model's attribute dimension — bad data
-    /// fails here, at construction, not at scoring time. Code handling
-    /// *untrusted* inputs (a serving daemon booting from an artifact it did
-    /// not write) must use [`ScoringEngine::try_new`] instead, where the same
-    /// conditions are typed [`ZslError::Config`] values.
+    /// [`ScoringEngine::try_new`] for trusted, in-process data: panics where
+    /// `try_new` returns an error. Code handling *untrusted* inputs (a
+    /// serving daemon booting from an artifact it did not write) must use
+    /// `try_new`.
     pub fn new(model: impl Into<TrainedModel>, signatures: Matrix, similarity: Similarity) -> Self {
-        Self::with_threads(model, signatures, similarity, default_threads())
-    }
-
-    /// [`ScoringEngine::new`] with an explicit worker-thread count
-    /// (`0` is treated as `1`).
-    ///
-    /// Like [`ScoringEngine::new`], this is the *convenience* constructor for
-    /// trusted, in-process data and deliberately panics on invalid parts;
-    /// every serve/load-reachable path (artifact loaders, the evaluation and
-    /// cross-validation drivers, `Pipeline::train`) goes through
-    /// [`ScoringEngine::try_with_threads`] instead.
-    pub fn with_threads(
-        model: impl Into<TrainedModel>,
-        signatures: Matrix,
-        similarity: Similarity,
-        threads: usize,
-    ) -> Self {
-        match Self::try_with_threads(model, signatures, similarity, threads) {
+        match Self::try_new(model, signatures, similarity) {
             Ok(engine) => engine,
             Err(ZslError::Config(msg)) => panic!("{msg}"),
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Fallible [`ScoringEngine::new`]: every construction-time validation
-    /// failure (empty / zero-width / non-finite bank, attribute-dimension
-    /// mismatch) is a typed [`ZslError::Config`] instead of a panic.
-    ///
-    /// This is the constructor for serving paths fed by untrusted input —
-    /// a daemon's boot/reload must degrade to an error response, never
-    /// abort the process.
+    /// Build an engine over `signatures` (`num_classes x attr_dim`) using one
+    /// worker thread per available core ([`ScoringEngine::set_threads`]
+    /// resizes it). An empty, zero-width or non-finite bank, a width that
+    /// does not match the model's attribute dimension, or non-finite model
+    /// parameters are a typed [`ZslError::Config`]: bad data fails here, at
+    /// construction, never at scoring time. For [`Similarity::Cosine`] the
+    /// bank is L2-normalized once, here.
     pub fn try_new(
         model: impl Into<TrainedModel>,
         signatures: Matrix,
         similarity: Similarity,
     ) -> Result<Self, ZslError> {
-        Self::try_with_threads(model, signatures, similarity, default_threads())
-    }
-
-    /// [`ScoringEngine::try_new`] with an explicit worker-thread count
-    /// (`0` is treated as `1`).
-    pub fn try_with_threads(
-        model: impl Into<TrainedModel>,
-        mut signatures: Matrix,
-        similarity: Similarity,
-        threads: usize,
-    ) -> Result<Self, ZslError> {
-        let model = model.into();
-        check_engine_parts(
-            &model,
-            signatures.rows(),
-            signatures.cols(),
-            signatures.as_slice(),
-        )
-        .map_err(ZslError::Config)?;
-        if similarity == Similarity::Cosine {
-            signatures.l2_normalize_rows();
+        let mut engine = Self::from_bank(model.into(), Bank::Owned(signatures), similarity)
+            .map_err(ZslError::Config)?;
+        if let (Similarity::Cosine, Bank::Owned(bank)) = (similarity, &mut engine.bank) {
+            bank.l2_normalize_rows();
         }
-        let shards = BankShards::uniform(signatures.rows(), 1);
-        Ok(ScoringEngine {
-            model,
-            bank: Bank::Owned(signatures),
-            shards,
-            calibration: None,
-            similarity,
-            threads: threads.max(1),
-            precision: ScoringPrecision::F64,
-            f32_parts: None,
-        })
+        Ok(engine)
     }
 
-    /// Reassemble an engine from an *already prepared* cached bank — the
-    /// `.zsm` artifact loader's constructor ([`ScoringEngine::load`]).
+    /// The one constructor body: validate the parts and assemble an `f64`,
+    /// single-band, uncalibrated engine over `bank` **exactly as given**.
     ///
-    /// The bank is taken exactly as given, with **no** re-normalization: a
-    /// cosine engine's bank was normalized once when the engine was first
-    /// built, and normalizing it again would divide by norms of ≈1.0 (not
-    /// exactly 1.0) and perturb the cached bits. Skipping that step is what
-    /// makes a save/load round trip reproduce predictions bit-for-bit.
-    /// Validation (non-empty, finite, width match) still runs, and — because
-    /// this constructor sits on the daemon's load/reload path, where input is
-    /// untrusted by definition — failures are typed errors, never panics.
-    /// The caller (the `.zsm` loader) additionally checks that a cosine
-    /// bank's rows really are unit-norm, since nothing downstream will ever
-    /// re-normalize them.
-    pub(crate) fn from_cached_parts(
+    /// The `.zsm` loaders call this directly with a stored bank (heap copy or
+    /// mmap borrow), which a cosine engine normalized once when it was first
+    /// built; normalizing again would divide by norms of ≈1.0 (not exactly
+    /// 1.0) and perturb the cached bits, so skipping that step is what makes
+    /// a save/load round trip bit-identical. Validation failures are error
+    /// messages, never panics: this sits on the daemon's load path, where
+    /// input is untrusted.
+    pub(crate) fn from_bank(
         model: TrainedModel,
-        signatures: Matrix,
+        bank: Bank,
         similarity: Similarity,
-        threads: usize,
     ) -> Result<Self, String> {
-        check_engine_parts(
-            &model,
-            signatures.rows(),
-            signatures.cols(),
-            signatures.as_slice(),
-        )?;
-        let shards = BankShards::uniform(signatures.rows(), 1);
+        check_engine_parts(&model, bank.rows(), bank.cols(), bank.as_slice())?;
         Ok(ScoringEngine {
             model,
-            bank: Bank::Owned(signatures),
-            shards,
-            calibration: None,
-            similarity,
-            threads: threads.max(1),
-            precision: ScoringPrecision::F64,
-            f32_parts: None,
-        })
-    }
-
-    /// [`ScoringEngine::from_cached_parts`] with the bank *borrowed* from a
-    /// mapped `.zsm` artifact instead of heap-copied — the zero-copy boot
-    /// path. Same validation and no-renormalization contract; the caller (the
-    /// artifact loader) guarantees the `offset..offset + rows*cols*8` region
-    /// is in-bounds, 8-byte aligned, and little-endian `f64` data.
-    pub(crate) fn from_mapped_parts(
-        model: TrainedModel,
-        map: Arc<MappedFile>,
-        offset: usize,
-        rows: usize,
-        cols: usize,
-        similarity: Similarity,
-        threads: usize,
-    ) -> Result<Self, String> {
-        let bank = Bank::Mapped {
-            map,
-            offset,
-            rows,
-            cols,
-        };
-        check_engine_parts(&model, rows, cols, bank.as_slice())?;
-        Ok(ScoringEngine {
-            model,
-            shards: BankShards::uniform(rows, 1),
+            shards: BankShards::uniform(bank.rows(), 1),
             bank,
             calibration: None,
             similarity,
-            threads: threads.max(1),
+            threads: default_threads(),
             precision: ScoringPrecision::F64,
             f32_parts: None,
+            metadata: String::new(),
         })
+    }
+
+    /// Attach free-form provenance metadata (hyperparameters, source
+    /// dataset, …). [`ScoringEngine::save`] writes it into the `.zsm`
+    /// artifact and the loaders restore it, so it survives every round trip.
+    pub fn with_metadata(mut self, metadata: impl Into<String>) -> Self {
+        self.metadata = metadata.into();
+        self
+    }
+
+    /// The engine's provenance metadata; empty unless attached with
+    /// [`ScoringEngine::with_metadata`] or loaded from an artifact.
+    pub fn metadata(&self) -> &str {
+        &self.metadata
     }
 
     /// Switch the engine's scoring precision, (re)building or dropping the
@@ -551,18 +500,11 @@ impl ScoringEngine {
         self
     }
 
-    /// Split the cached bank into (at most) `shards` row bands scored
-    /// independently and merged per row — see [`BankShards`]. Results are
+    /// Split the cached bank into (at most) `shards` row bands scored one
+    /// at a time and merged per row — see [`BankShards`]. Results are
     /// bit-identical at every shard count; what changes is peak memory:
     /// `predict`/`predict_topk` hold one `chunk_rows x band_classes` score
     /// block at a time instead of `chunk_rows x num_classes`.
-    pub fn with_bank_shards(mut self, shards: usize) -> Self {
-        self.set_bank_shards(shards);
-        self
-    }
-
-    /// In-place form of [`ScoringEngine::with_bank_shards`] for serving
-    /// stacks that reconfigure a booted engine.
     pub fn set_bank_shards(&mut self, shards: usize) {
         self.shards = BankShards::uniform(self.bank.rows(), shards);
     }
@@ -738,41 +680,118 @@ impl ScoringEngine {
     }
 
     /// Full score matrix: `n_samples x num_classes`, including any active
-    /// calibration penalty. Callers who ask for the full matrix get it
-    /// monolithically regardless of the shard layout (sharding changes peak
-    /// memory in the streaming reducers, never the bits).
+    /// calibration penalty.
     pub fn scores(&self, x: &Matrix) -> Matrix {
-        let mut scores = if let Some(parts) = &self.f32_parts {
-            self.scores_f32(parts, x)
-        } else {
-            let mut projected = self.model.project_parallel(x, self.threads);
-            if self.similarity == Similarity::Cosine {
-                projected.l2_normalize_rows();
-            }
-            let (n, a_dim) = (projected.rows(), projected.cols());
-            let z = self.bank.rows();
-            Matrix::from_vec(
-                n,
-                z,
-                gemm_bt_parallel(
-                    projected.as_slice(),
-                    n,
-                    a_dim,
-                    self.bank.as_slice(),
-                    z,
-                    self.threads,
-                ),
-            )
-        };
-        let z = self.num_classes();
-        self.apply_calibration(scores.as_mut_slice(), 0, z);
-        scores
+        let mut out = Matrix::zeros(0, self.num_classes());
+        self.scores_chunked(x, x.rows(), |_, chunk| out = chunk);
+        out
     }
 
-    /// The single-precision projection front half: cast the batch once, run
-    /// project → normalize through the generic `f32` kernels. Shared by the
-    /// monolithic [`ScoringEngine::scores`] path and the banded streaming
-    /// reducers, so both score the identical normalized `f32` slab.
+    /// Stream scores in row chunks of at most `chunk_rows` (`0` is treated as
+    /// `1`): `consume(row_offset, chunk)` receives each
+    /// `chunk_rows x num_classes` score block in order, so arbitrarily large
+    /// sample matrices are scored without materializing the full
+    /// `n x num_classes` result.
+    pub fn scores_chunked<F>(&self, x: &Matrix, chunk_rows: usize, mut consume: F)
+    where
+        F: FnMut(usize, Matrix),
+    {
+        let z = self.num_classes();
+        self.score_pass(
+            x,
+            chunk_rows,
+            |rows| (rows, Vec::new()),
+            |(rows, out): &mut (usize, Vec<f64>), r, block| {
+                if r.len() == z {
+                    // One band covers the bank: its block is the chunk.
+                    *out = block;
+                    return;
+                }
+                out.resize(*rows * z, 0.0);
+                for (dst, src) in out.chunks_mut(z).zip(block.chunks(r.len())) {
+                    dst[r.clone()].copy_from_slice(src);
+                }
+            },
+            |offset, (rows, out)| consume(offset, Matrix::from_vec(rows, z, out)),
+        );
+    }
+
+    /// The one scoring pass behind [`ScoringEngine::scores`],
+    /// [`ScoringEngine::scores_chunked`], [`ScoringEngine::predict`] and
+    /// [`ScoringEngine::predict_topk`]. Per row chunk of `x` it projects
+    /// once, L2-normalizes for cosine, then for each [`BankShards`] band runs
+    /// the `X·Sᵀ` kernel over that band's rows (in the engine's precision,
+    /// widened to `f64`), applies calibration, and hands the
+    /// `rows x band_classes` block to `band`. `init(rows)` builds the
+    /// chunk's merge state and `done(row_offset, state)` consumes it after
+    /// the last band. Peak score memory is one band-wide block.
+    ///
+    /// Band boundaries are multiples of the kernel's 64-column tile (see
+    /// [`BankShards`]), so every score element carries the same bits at
+    /// every shard count, and any order-respecting merge is bit-identical to
+    /// reducing the full row.
+    fn score_pass<S>(
+        &self,
+        x: &Matrix,
+        chunk_rows: usize,
+        init: impl Fn(usize) -> S,
+        mut band: impl FnMut(&mut S, Range<usize>, Vec<f64>),
+        mut done: impl FnMut(usize, S),
+    ) {
+        let n = x.rows();
+        let chunk_rows = chunk_rows.max(1);
+        let a_dim = self.bank.cols();
+        let mut start = 0;
+        while start < n {
+            let end = (start + chunk_rows).min(n);
+            let rows = end - start;
+            let slab;
+            let chunk: &Matrix = if rows == n {
+                x
+            } else {
+                slab = x.row_block(start..end);
+                &slab
+            };
+            let projected = match &self.f32_parts {
+                None => {
+                    let mut p = self.model.project(chunk, self.threads);
+                    if self.similarity == Similarity::Cosine {
+                        p.l2_normalize_rows();
+                    }
+                    Projected::F64(p)
+                }
+                Some(parts) => Projected::F32(self.project_f32(parts, chunk), &parts.bank),
+            };
+            let mut state = init(rows);
+            for b in 0..self.shards.count() {
+                let r = self.shards.band(b);
+                let cols = r.start * a_dim..r.end * a_dim;
+                let mut block = match &projected {
+                    Projected::F64(p) => gemm_bt_parallel(
+                        p.as_slice(),
+                        rows,
+                        a_dim,
+                        &self.bank.as_slice()[cols],
+                        r.len(),
+                        self.threads,
+                    ),
+                    Projected::F32(p, bank32) => {
+                        gemm_bt_parallel(p, rows, a_dim, &bank32[cols], r.len(), self.threads)
+                            .into_iter()
+                            .map(f64::from)
+                            .collect()
+                    }
+                };
+                self.apply_calibration(&mut block, r.start, r.end);
+                band(&mut state, r, block);
+            }
+            done(start, state);
+            start = end;
+        }
+    }
+
+    /// The single-precision projection: cast the batch once, run project →
+    /// normalize through the generic `f32` kernels.
     fn project_f32(&self, parts: &F32Parts, x: &Matrix) -> Vec<f32> {
         use crate::linalg::{gemm_parallel, l2_normalize_rows_slab, rbf_gram_parallel};
         let n = x.rows();
@@ -785,7 +804,7 @@ impl ScoringEngine {
             x.cols(),
             d_in
         );
-        let x32: Vec<f32> = x.as_slice().iter().map(|&v| v as f32).collect();
+        let x32 = cast_f32(x.as_slice());
         let mut proj: Vec<f32> = match &parts.model {
             F32Model::Projection { w, d, a } => gemm_parallel(&x32, n, *d, w, *a, self.threads),
             F32Model::Kernel {
@@ -811,171 +830,28 @@ impl ScoringEngine {
         proj
     }
 
-    /// The single-precision scoring path: project via [`Self::project_f32`],
-    /// score against the cached `f32` bank mirror, and widen the scores back
-    /// to `f64` (lossless), so every downstream consumer (`predict`,
-    /// `predict_topk`, chunking) is shared verbatim with the `f64` path.
-    fn scores_f32(&self, parts: &F32Parts, x: &Matrix) -> Matrix {
-        let n = x.rows();
-        let proj = self.project_f32(parts, x);
-        let a_dim = self.bank.cols();
-        let z = self.bank.rows();
-        let scores32 = gemm_bt_parallel(&proj, n, a_dim, &parts.bank, z, self.threads);
-        Matrix::from_vec(n, z, scores32.into_iter().map(f64::from).collect())
-    }
-
-    /// Stream scores in row chunks of at most `chunk_rows` (`0` is treated as
-    /// `1`): `consume(row_offset, chunk)` receives each
-    /// `chunk_rows x num_classes` score block in order, so arbitrarily large
-    /// sample matrices are scored without materializing the full
-    /// `n x num_classes` result.
-    pub fn scores_chunked<F>(&self, x: &Matrix, chunk_rows: usize, mut consume: F)
-    where
-        F: FnMut(usize, Matrix),
-    {
-        let n = x.rows();
-        let chunk_rows = chunk_rows.max(1);
-        if chunk_rows >= n {
-            // One chunk covers everything: score the input directly instead
-            // of copying it into a slab.
-            if n > 0 {
-                consume(0, self.scores(x));
-            }
-            return;
-        }
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            let slab = x.row_block(start..end);
-            consume(start, self.scores(&slab));
-            start = end;
-        }
-    }
-
-    /// Stream `x` in row chunks and, per chunk, score one bank band at a
-    /// time: project the chunk once, then for each shard band run the same
-    /// `X·Sᵀ` kernel over that band's rows, apply calibration, and hand the
-    /// `rows x band_classes` block to `band`. `init` builds per-chunk merge
-    /// state, `done` consumes it after the last band. Peak score memory is
-    /// one band-wide block — never `rows x num_classes`.
-    ///
-    /// Because band boundaries are multiples of the kernel's 64-column tile
-    /// (see [`BankShards`]), every score element carries the *same bits* as
-    /// the monolithic pass, so any order-respecting merge is bit-identical to
-    /// reducing the full row.
-    fn fold_banded_chunks<S, I, F, D>(
-        &self,
-        x: &Matrix,
-        chunk_rows: usize,
-        init: I,
-        mut band: F,
-        mut done: D,
-    ) where
-        I: Fn(usize) -> S,
-        F: FnMut(&mut S, Range<usize>, &[f64]),
-        D: FnMut(S),
-    {
-        let n = x.rows();
-        let chunk_rows = chunk_rows.max(1);
-        let a_dim = self.bank.cols();
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk_rows).min(n);
-            let rows = end - start;
-            let slab;
-            let chunk: &Matrix = if rows == n {
-                x
-            } else {
-                slab = x.row_block(start..end);
-                &slab
-            };
-            let mut state = init(rows);
-            match &self.f32_parts {
-                None => {
-                    let mut projected = self.model.project_parallel(chunk, self.threads);
-                    if self.similarity == Similarity::Cosine {
-                        projected.l2_normalize_rows();
-                    }
-                    let bank = self.bank.as_slice();
-                    for b in 0..self.shards.count() {
-                        let r = self.shards.band(b);
-                        let mut block = gemm_bt_parallel(
-                            projected.as_slice(),
-                            rows,
-                            a_dim,
-                            &bank[r.start * a_dim..r.end * a_dim],
-                            r.len(),
-                            self.threads,
-                        );
-                        self.apply_calibration(&mut block, r.start, r.end);
-                        band(&mut state, r.clone(), &block);
-                    }
-                }
-                Some(parts) => {
-                    let proj = self.project_f32(parts, chunk);
-                    for b in 0..self.shards.count() {
-                        let r = self.shards.band(b);
-                        let block32 = gemm_bt_parallel(
-                            &proj,
-                            rows,
-                            a_dim,
-                            &parts.bank[r.start * a_dim..r.end * a_dim],
-                            r.len(),
-                            self.threads,
-                        );
-                        let mut block: Vec<f64> = block32.into_iter().map(f64::from).collect();
-                        self.apply_calibration(&mut block, r.start, r.end);
-                        band(&mut state, r.clone(), &block);
-                    }
-                }
-            }
-            done(state);
-            start = end;
-        }
-    }
-
-    /// Whether predictions should stream band-by-band instead of taking the
-    /// legacy whole-row path. A single band *is* the legacy layout, so the
-    /// monolithic code path survives verbatim for existing engines.
-    fn banded(&self) -> bool {
-        self.shards.count() > 1
-    }
-
     /// Argmax prediction per sample, computed chunk-by-chunk.
     ///
     /// Selection uses [`f64::total_cmp`], a total order, so results are
-    /// deterministic even for non-finite scores (the old `>`-based loop lost
-    /// every NaN comparison and always fell back to class 0). Positive NaN
-    /// ranks above every finite score and surfaces in the output; note that
-    /// negative NaN ranks below everything, and a NaN *feature* poisons its
-    /// entire score row — callers that must detect corrupt inputs should
-    /// check [`ScoringEngine::scores`] for non-finite values rather than rely
-    /// on predictions alone.
+    /// deterministic even for non-finite scores. Positive NaN ranks above
+    /// every finite score and surfaces in the output; negative NaN ranks
+    /// below everything, and a NaN *feature* poisons its entire score row —
+    /// callers that must detect corrupt inputs should check
+    /// [`ScoringEngine::scores`] for non-finite values rather than rely on
+    /// predictions alone.
+    ///
+    /// Each band's per-row argmax folds into a running best with a
+    /// strictly-greater test; bands ascend and the in-band argmax is
+    /// first-wins, so ties resolve to the lowest class id at every shard
+    /// count.
     pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        if self.banded() {
-            return self.predict_banded(x);
-        }
-        let z = self.num_classes();
         let mut out = Vec::with_capacity(x.rows());
-        self.scores_chunked(x, DEFAULT_CHUNK_ROWS, |_, scores| {
-            out.extend(scores.as_slice().chunks(z).map(argmax));
-        });
-        out
-    }
-
-    /// Sharded argmax: fold each band's per-row argmax into a running best
-    /// with a strictly-greater `total_cmp` test. Bands ascend and the in-band
-    /// argmax is first-wins, so the global first-wins tie-break of the
-    /// monolithic [`argmax`] is preserved exactly.
-    fn predict_banded(&self, x: &Matrix) -> Vec<usize> {
-        let mut out = Vec::with_capacity(x.rows());
-        self.fold_banded_chunks(
+        self.score_pass(
             x,
             DEFAULT_CHUNK_ROWS,
             |rows| vec![(0usize, 0.0f64); rows],
             |best: &mut Vec<(usize, f64)>, r, block| {
-                let width = r.len();
-                for (row_best, row) in best.iter_mut().zip(block.chunks(width)) {
+                for (row_best, row) in best.iter_mut().zip(block.chunks(r.len())) {
                     let local = argmax(row);
                     let cand = (r.start + local, row[local]);
                     if r.start == 0 || cand.1.total_cmp(&row_best.1) == Ordering::Greater {
@@ -983,7 +859,7 @@ impl ScoringEngine {
                     }
                 }
             },
-            |best| out.extend(best.into_iter().map(|(class, _)| class)),
+            |_, best| out.extend(best.into_iter().map(|(class, _)| class)),
         );
         out
     }
@@ -1032,71 +908,50 @@ impl ScoringEngine {
     }
 
     /// Best-`k` ranked predictions per sample (`k` clamped to the class
-    /// count), computed chunk-by-chunk.
+    /// count), computed chunk-by-chunk: each row streams its band scores
+    /// through a bounded worst-first k-heap, ordered by descending score with
+    /// ties broken by ascending class id — the order a full sort of the row
+    /// gives — without holding more than one band of scores plus `k`
+    /// candidates per row.
     pub fn predict_topk(&self, x: &Matrix, k: usize) -> Vec<TopK> {
-        let z = self.num_classes();
-        let k = k.min(z);
-        if self.banded() {
-            return self.predict_topk_banded(x, k);
-        }
+        let k = k.min(self.num_classes());
         let mut out = Vec::with_capacity(x.rows());
-        self.scores_chunked(x, DEFAULT_CHUNK_ROWS, |_, scores| {
-            out.extend(scores.as_slice().chunks(z).map(|row| topk_row(row, k)));
-        });
-        out
-    }
-
-    /// Sharded top-`k`: each row streams its band scores through a bounded
-    /// worst-first k-heap ordered by the same total order as [`topk_row`]
-    /// (descending score, ties by ascending global class id), so the merged
-    /// result is identical to sorting the full row — without ever holding
-    /// more than one band of scores plus `k` candidates per row.
-    fn predict_topk_banded(&self, x: &Matrix, k: usize) -> Vec<TopK> {
-        let mut out = Vec::with_capacity(x.rows());
-        self.fold_banded_chunks(
+        self.score_pass(
             x,
             DEFAULT_CHUNK_ROWS,
             |rows| vec![BinaryHeap::<Reverse<Cand>>::with_capacity(k + 1); rows],
             |heaps: &mut Vec<BinaryHeap<Reverse<Cand>>>, r, block| {
-                if k == 0 {
-                    return;
-                }
-                let width = r.len();
-                for (heap, row) in heaps.iter_mut().zip(block.chunks(width)) {
+                for (heap, row) in heaps.iter_mut().zip(block.chunks(r.len())) {
                     for (j, &score) in row.iter().enumerate() {
-                        let cand = Cand {
-                            score,
-                            class: r.start + j,
-                        };
-                        if heap.len() < k {
-                            heap.push(Reverse(cand));
-                        } else if cand > heap.peek().expect("k > 0").0 {
-                            heap.pop();
-                            heap.push(Reverse(cand));
-                        }
+                        offer(
+                            heap,
+                            k,
+                            Cand {
+                                score,
+                                class: r.start + j,
+                            },
+                        );
                     }
                 }
             },
-            |heaps| {
-                out.extend(heaps.into_iter().map(|heap| {
-                    let mut ranked: Vec<Cand> =
-                        heap.into_iter().map(|Reverse(cand)| cand).collect();
-                    ranked.sort_unstable_by(|a, b| b.cmp(a));
-                    TopK {
-                        classes: ranked.iter().map(|c| c.class).collect(),
-                        scores: ranked.iter().map(|c| c.score).collect(),
-                    }
-                }));
-            },
+            |_, heaps| out.extend(heaps.into_iter().map(ranked)),
         );
         out
     }
 }
 
+/// One row chunk projected (and, for cosine, normalized) in the engine's
+/// scoring precision; the `f32` form carries the bank mirror it scores
+/// against.
+enum Projected<'a> {
+    F64(Matrix),
+    F32(Vec<f32>, &'a [f32]),
+}
+
 /// One streaming top-k candidate. The ordering is "better = greater": higher
-/// score first, ties broken by *lower* class id — the exact total order
-/// [`topk_row`]'s comparator induces, so heap merges and full sorts agree on
-/// every tie, including ties that straddle shard boundaries.
+/// score first (under [`f64::total_cmp`]), ties broken by *lower* class id,
+/// so heap merges agree with a full sort on every tie, including ties that
+/// straddle shard boundaries.
 #[derive(Clone, Copy, Debug)]
 struct Cand {
     score: f64,
@@ -1125,12 +980,31 @@ impl Ord for Cand {
     }
 }
 
+/// Push `cand` into a worst-first heap holding at most `k` candidates.
+fn offer(heap: &mut BinaryHeap<Reverse<Cand>>, k: usize, cand: Cand) {
+    if heap.len() < k {
+        heap.push(Reverse(cand));
+    } else if heap.peek().is_some_and(|worst| cand > worst.0) {
+        heap.pop();
+        heap.push(Reverse(cand));
+    }
+}
+
+/// Drain a top-k heap into a best-first ranking.
+fn ranked(heap: BinaryHeap<Reverse<Cand>>) -> TopK {
+    let mut best: Vec<Cand> = heap.into_iter().map(|Reverse(cand)| cand).collect();
+    best.sort_unstable_by(|a, b| b.cmp(a));
+    TopK {
+        classes: best.iter().map(|c| c.class).collect(),
+        scores: best.iter().map(|c| c.score).collect(),
+    }
+}
+
 /// The ONE construction-time validation behind every engine constructor:
-/// empty, zero-width, or non-finite signature banks and attribute-dimension
-/// mismatches are reported as an error message. The panicking constructors
-/// ([`ScoringEngine::new`], [`ScoringEngine::with_threads`]) turn the message
-/// into a panic; the fallible ones ([`ScoringEngine::try_new`], the `.zsm` loader)
-/// turn it into a typed error.
+/// empty, zero-width, or non-finite signature banks, attribute-dimension
+/// mismatches and non-finite model parameters are reported as an error
+/// message. [`ScoringEngine::try_new`] and the `.zsm` loaders turn it into a
+/// typed error; [`ScoringEngine::new`] panics with it.
 fn check_engine_parts(
     model: &TrainedModel,
     rows: usize,
@@ -1138,12 +1012,12 @@ fn check_engine_parts(
     data: &[f64],
 ) -> Result<(), String> {
     if rows == 0 {
-        return Err("classifier needs at least one class signature".into());
+        return Err("scoring engine needs at least one class signature".into());
     }
     if cols == 0 {
         return Err(
-            "classifier signature bank is zero-width (attr_dim = 0); every class needs at least \
-             one attribute"
+            "scoring engine signature bank is zero-width (attr_dim = 0); every class needs at \
+             least one attribute"
                 .into(),
         );
     }
@@ -1153,7 +1027,7 @@ fn check_engine_parts(
             if !v.is_finite() {
                 return Err(format!(
                     "signature bank contains non-finite value {v} at row {r}, col {c}; clean the \
-                     bank before constructing a classifier"
+                     bank before constructing a scoring engine"
                 ));
             }
         }
@@ -1186,27 +1060,6 @@ fn argmax(row: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// Top-`k` of one score row, descending, ties broken by ascending class
-/// index. Partitions the `k` best to the front in `O(z)` with
-/// `select_nth_unstable_by`, then sorts only that slice — instead of sorting
-/// all `z` scores and truncating. The index tie-break makes the comparator a
-/// total order, so the output is identical to a full sort.
-fn topk_row(row: &[f64], k: usize) -> TopK {
-    let z = row.len();
-    let mut order: Vec<usize> = (0..z).collect();
-    let by_score_desc = |a: &usize, b: &usize| row[*b].total_cmp(&row[*a]).then(a.cmp(b));
-    if k < z {
-        order.select_nth_unstable_by(k, by_score_desc);
-        order.truncate(k);
-    }
-    order.sort_unstable_by(by_score_desc);
-    let scores = order.iter().map(|&c| row[c]).collect();
-    TopK {
-        classes: order,
-        scores,
-    }
 }
 
 /// Fraction of samples where `predicted[i] == truth[i]`.
@@ -1441,20 +1294,29 @@ mod tests {
         assert!(ranked[0].scores.iter().all(|v| v.is_nan()));
     }
 
+    /// The production top-k merge fed one whole row.
+    fn heap_topk(row: &[f64], k: usize) -> TopK {
+        let mut heap = BinaryHeap::new();
+        for (class, &score) in row.iter().enumerate() {
+            offer(&mut heap, k, Cand { score, class });
+        }
+        ranked(heap)
+    }
+
     #[test]
-    fn topk_select_nth_path_matches_full_sort_reference() {
+    fn topk_heap_matches_full_sort_reference() {
         let mut rng = crate::data::Rng::new(2027);
         for z in [1usize, 2, 7, 64, 201] {
             let row: Vec<f64> = (0..z).map(|_| rng.normal()).collect();
             for k in [0usize, 1, 3, z / 2, z.saturating_sub(1), z, z + 5] {
                 let k = k.min(z);
-                // Reference: full sort then truncate (the old implementation).
+                // Reference: full (stable) sort then truncate.
                 let mut order: Vec<usize> = (0..z).collect();
                 order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
                 order.truncate(k);
                 let expected_scores: Vec<f64> = order.iter().map(|&c| row[c]).collect();
 
-                let got = topk_row(&row, k);
+                let got = heap_topk(&row, k);
                 assert_eq!(got.classes, order, "z={z} k={k}");
                 assert_eq!(got.scores, expected_scores, "z={z} k={k}");
             }
@@ -1467,7 +1329,7 @@ mod tests {
         let mut order: Vec<usize> = (0..row.len()).collect();
         order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
         for k in 0..=row.len() {
-            let got = topk_row(&row, k);
+            let got = heap_topk(&row, k);
             assert_eq!(got.classes, order[..k], "k={k}");
         }
     }
@@ -1557,19 +1419,12 @@ mod tests {
         let w = Matrix::from_vec(4, 3, (0..12).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(5, 3, (0..15).map(|_| rng.normal()).collect());
         let x = Matrix::from_vec(40, 4, (0..160).map(|_| rng.normal()).collect());
-        let baseline = ScoringEngine::with_threads(
-            ProjectionModel::from_weights(w.clone()),
-            bank.clone(),
-            Similarity::Cosine,
-            1,
-        );
+        let mut baseline =
+            ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Cosine);
+        baseline.set_threads(1);
         for threads in [2usize, 4, 9] {
-            let engine = ScoringEngine::with_threads(
-                ProjectionModel::from_weights(w.clone()),
-                bank.clone(),
-                Similarity::Cosine,
-                threads,
-            );
+            let mut engine = baseline.clone();
+            engine.set_threads(threads);
             assert_eq!(
                 engine.scores(&x).as_slice(),
                 baseline.scores(&x).as_slice(),
@@ -1585,12 +1440,9 @@ mod tests {
         let w = Matrix::from_vec(6, 4, (0..24).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(5, 4, (0..20).map(|_| rng.normal()).collect());
         let x = Matrix::from_vec(32, 6, (0..192).map(|_| rng.normal()).collect());
-        let f64_engine = ScoringEngine::with_threads(
-            ProjectionModel::from_weights(w.clone()),
-            bank.clone(),
-            Similarity::Cosine,
-            1,
-        );
+        let mut f64_engine =
+            ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Cosine);
+        f64_engine.set_threads(1);
         assert_eq!(f64_engine.precision(), ScoringPrecision::F64);
         let f32_engine = f64_engine.clone().with_precision(ScoringPrecision::F32);
         assert_eq!(f32_engine.precision(), ScoringPrecision::F32);

@@ -61,13 +61,13 @@
 //! |--------|------|
 //! | [`pipeline`] | the [`Pipeline`] builder facade: source → CV → train → evaluate / save |
 //! | [`source`] | the [`FeatureSource`] trait + [`MemorySource`]; implemented by [`Dataset`] and [`StreamingBundle`] |
-//! | [`linalg`] | dense math: blocked + row-banded parallel matmul, packed `A·Bᵀ` kernel, Cholesky solves for the two SPD systems |
+//! | [`linalg`] | dense math: blocked + row-banded parallel matmul, the packed `A·Bᵀ` scoring kernel, Cholesky solves for the two SPD systems |
 //! | [`model`] | the closed-form trainer (Eq. `W = (XᵀX+γI)⁻¹XᵀYS(SᵀS+λI)⁻¹`); [`model::GramAccumulator`] is the single Gram fold behind every source kind |
-//! | [`infer`] | [`infer::ScoringEngine`] (cached bank, parallel + chunked batch scoring), nearest-signature classification, top-k, ZSL/GZSL metrics |
-//! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`], bit-identical round trips |
+//! | [`infer`] | [`infer::ScoringEngine`]: one constructor ([`ScoringEngine::try_new`]), a cached bank, and one band-folded scoring pass behind scores, argmax and top-k; ZSL/GZSL metrics |
+//! | [`artifact`] | the versioned `.zsm` model artifact: [`ScoringEngine::save`] / [`ScoringEngine::load`] (or opt-in `load_mapped`), provenance carried by the engine, bit-identical round trips |
 //! | [`data`]  | seeded synthetic datasets **plus** on-disk bundles: `.zsb`/CSV feature dumps, signature tables, split manifests — loaded whole by [`data::DatasetBundle`] or streamed chunk-at-a-time by [`StreamingBundle`] (CSV gets shuffled reads via [`data::CsvLineIndex`]) |
 //! | [`eval`]  | the generic GZSL protocol ([`eval::GzslReport`]) and seeded k-fold `(γ, λ)` cross-validation of any [`Trainer`] ([`eval::cross_validate_with`]) over any source |
-//! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`]: ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
+//! | [`trainer`] | the object-safe [`Trainer`] trait + [`TrainedModel`] (one projection call, [`TrainedModel::project`]): ESZSL, the Sylvester-solved [`trainer::SaeTrainer`], and [`trainer::KernelEszslTrainer`] (linear/RBF), all streaming through the same accumulator |
 //!
 //! Errors across the pipeline unify into the top-level [`ZslError`], which
 //! chains inner causes through [`std::error::Error::source`].

@@ -530,8 +530,10 @@ pub(crate) fn gemm_parallel<T: Elem>(
 }
 
 /// Serial-or-banded `a (n x k_dim) · btᵀ` where `bt` is the packed `z x k_dim`
-/// transpose — the generic twin of [`Matrix::matmul_bt_parallel`], also used
-/// directly by the f32 scoring mirror.
+/// transpose: every inner product streams two contiguous rows, the natural
+/// layout for the scoring shape `X · Sᵀ` (one class signature per bank row)
+/// and the linear kernel map. Row-banded like [`Matrix::matmul_parallel`]
+/// and likewise bit-identical to the serial path for every thread count.
 pub(crate) fn gemm_bt_parallel<T: Elem>(
     a: &[T],
     n: usize,
@@ -947,51 +949,6 @@ impl Matrix {
                 self.cols,
                 &other.data,
                 other.cols,
-                threads,
-            ),
-        }
-    }
-
-    /// `self · otherᵀ` without materializing the transpose: `other` is read
-    /// as a packed `z x k` row-major bank, so every inner product streams two
-    /// contiguous rows. This is the natural layout for the scoring shape
-    /// `X · Sᵀ`, where `other` holds one class signature per row.
-    pub fn matmul_bt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_bt shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        gemm_bt_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.rows,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// Multi-threaded [`Matrix::matmul_bt`], row-banded like
-    /// [`Matrix::matmul_parallel`] and likewise bit-identical to the serial
-    /// path for every thread count.
-    pub fn matmul_bt_parallel(&self, other: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_bt shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        Matrix {
-            rows: self.rows,
-            cols: other.rows,
-            data: gemm_bt_parallel(
-                &self.data,
-                self.rows,
-                self.cols,
-                &other.data,
-                other.rows,
                 threads,
             ),
         }
@@ -1510,6 +1467,19 @@ mod tests {
         }
     }
 
+    /// `a · bᵀ` through the scoring kernel.
+    fn matmul_bt(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
+        let data = gemm_bt_parallel(
+            a.as_slice(),
+            a.rows(),
+            a.cols(),
+            b.as_slice(),
+            b.rows(),
+            threads,
+        );
+        Matrix::from_vec(a.rows(), b.rows(), data)
+    }
+
     #[test]
     fn matmul_bt_matches_explicit_transpose_product() {
         let mut rng = Rng::new(23);
@@ -1517,13 +1487,13 @@ mod tests {
             let a = random_matrix(&mut rng, n, k);
             let b = random_matrix(&mut rng, z, k);
             let via_transpose = a.matmul(&b.transpose());
-            let packed = a.matmul_bt(&b);
+            let packed = matmul_bt(&a, &b, 1);
             assert!(
                 packed.max_abs_diff(&via_transpose) < 1e-9,
                 "matmul_bt diverged at {n}x{k} * ({z}x{k})ᵀ"
             );
-            for threads in [1, 2, 5, 16] {
-                let parallel = a.matmul_bt_parallel(&b, threads);
+            for threads in [2, 5, 16] {
+                let parallel = matmul_bt(&a, &b, threads);
                 assert_eq!(
                     parallel.as_slice(),
                     packed.as_slice(),
@@ -1659,8 +1629,8 @@ mod tests {
                     batch.set(r, c, rng.normal());
                 }
             }
-            let packed = batch.matmul_bt(&bank);
-            let unpacked = row.matmul_bt(&bank);
+            let packed = matmul_bt(&batch, &bank, 1);
+            let unpacked = matmul_bt(&row, &bank, 1);
             assert_eq!(
                 packed.row(0),
                 unpacked.row(0),

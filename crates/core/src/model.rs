@@ -91,20 +91,6 @@ impl ProjectionModel {
     pub fn into_weights(self) -> Matrix {
         self.w
     }
-
-    /// Project a batch of features (`n x d`) into attribute space (`n x a`).
-    pub fn project(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w)
-    }
-
-    /// Multi-threaded [`ProjectionModel::project`]: row-banded across
-    /// `threads` workers, bit-identical to the serial path for every thread
-    /// count. The batch scorer ([`crate::infer::ScoringEngine`]) projects
-    /// through this so one weight matrix serves all worker threads without
-    /// copies.
-    pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
-        x.matmul_parallel(&self.w, threads)
-    }
 }
 
 /// Builder-style configuration for [`EszslTrainer`].
@@ -647,7 +633,7 @@ mod tests {
             .expect("train");
         assert_eq!(model.weights().rows(), 13);
         assert_eq!(model.weights().cols(), 7);
-        let projected = model.project(&ds.test_unseen_x);
+        let projected = ds.test_unseen_x.matmul(model.weights());
         assert_eq!(projected.rows(), ds.test_unseen_x.rows());
         assert_eq!(projected.cols(), 7);
     }

@@ -138,6 +138,12 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
     /// Fit the pipeline's trainer on the trainval split and build the
     /// serving engine over the source's union signature bank, applying any
     /// calibrated-stacking penalty to the bank's seen-class prefix.
+    ///
+    /// The engine carries provenance metadata recording how it was trained —
+    /// the trainer's [`Trainer::describe`] string (family, hyperparameters,
+    /// normalization toggles), similarity, the class counts and any
+    /// `gamma_cal` — which [`TrainedPipeline::save`] writes into the
+    /// artifact, so an operator can later tell artifacts apart.
     pub fn train(self) -> Result<TrainedPipeline<'a, S>, ZslError> {
         let similarity = self.similarity.unwrap_or_default();
         let model: TrainedModel = self.trainer.fit(&DynSource(self.source))?;
@@ -146,6 +152,16 @@ impl<'a, S: FeatureSource + ?Sized> Pipeline<'a, S> {
         // typed errors, not panics. γ_cal = 0 leaves the engine untouched.
         let engine = ScoringEngine::try_new(model, self.source.union_signatures(), similarity)?
             .with_calibration(self.calibration, self.source.num_seen_classes())?;
+        let mut metadata = format!(
+            "{}; similarity={similarity}; seen_classes={}; unseen_classes={}",
+            self.trainer.describe(),
+            self.source.num_seen_classes(),
+            self.source.num_unseen_classes(),
+        );
+        if let Some((gamma_cal, _)) = engine.seen_calibration() {
+            metadata.push_str(&format!("; gamma_cal={gamma_cal}"));
+        }
+        let engine = engine.with_metadata(metadata);
         Ok(TrainedPipeline {
             source: self.source,
             engine,
@@ -198,23 +214,10 @@ impl<S: FeatureSource + ?Sized> TrainedPipeline<'_, S> {
         self.cv.as_ref()
     }
 
-    /// Persist the engine as a `.zsm` artifact whose provenance metadata
-    /// records how it was trained — the trainer's [`Trainer::describe`]
-    /// string (family, hyperparameters, normalization toggles), similarity,
-    /// and the class counts — so a serving process can boot from this file
-    /// alone and an operator can later tell artifacts apart.
+    /// Persist the engine, with the provenance [`Pipeline::train`]
+    /// attached, as a `.zsm` artifact a serving process can boot from alone.
     pub fn save(&self, path: &Path) -> Result<(), ZslError> {
-        let mut metadata = format!(
-            "{}; similarity={}; seen_classes={}; unseen_classes={}",
-            self.trainer.describe(),
-            self.engine.similarity(),
-            self.source.num_seen_classes(),
-            self.source.num_unseen_classes(),
-        );
-        if let Some((gamma_cal, _)) = self.engine.seen_calibration() {
-            metadata.push_str(&format!("; gamma_cal={gamma_cal}"));
-        }
-        self.engine.save_with_metadata(path, &metadata)
+        self.engine.save(path)
     }
 }
 

@@ -34,7 +34,9 @@
 //! this differentially.
 
 use crate::error::ZslError;
-use crate::linalg::{default_threads, solve_sylvester, Matrix};
+use crate::linalg::{
+    default_threads, gemm_bt_parallel, rbf_gram_parallel, solve_sylvester, Matrix,
+};
 use crate::model::{
     validate_regularizer, EszslProblem, EszslTrainer, GramAccumulator, ProjectionModel, TrainError,
 };
@@ -143,22 +145,23 @@ pub(crate) fn kernel_map(
     kernel: KernelKind,
     threads: usize,
 ) -> Matrix {
-    match kernel {
-        KernelKind::Linear => x.matmul_bt_parallel(anchors, threads),
+    assert_eq!(
+        x.cols(),
+        anchors.cols(),
+        "kernel map shape mismatch: {}x{} features vs {}x{} anchors",
+        x.rows(),
+        x.cols(),
+        anchors.rows(),
+        anchors.cols()
+    );
+    let (n, m, d) = (x.rows(), anchors.rows(), x.cols());
+    let data = match kernel {
+        KernelKind::Linear => gemm_bt_parallel(x.as_slice(), n, d, anchors.as_slice(), m, threads),
         KernelKind::Rbf { width } => {
-            let (n, m, d) = (x.rows(), anchors.rows(), x.cols());
-            let data = crate::linalg::rbf_gram_parallel(
-                x.as_slice(),
-                n,
-                d,
-                anchors.as_slice(),
-                m,
-                width,
-                threads,
-            );
-            Matrix::from_vec(n, m, data)
+            rbf_gram_parallel(x.as_slice(), n, d, anchors.as_slice(), m, width, threads)
         }
-    }
+    };
+    Matrix::from_vec(n, m, data)
 }
 
 /// A trained kernelized model: dual weights `alpha : m x a` over a stored
@@ -206,12 +209,6 @@ impl KernelModel {
     /// The Gram option.
     pub fn kernel(&self) -> KernelKind {
         self.kernel
-    }
-
-    /// Project a batch into attribute space: `k(X, anchors) · alpha`.
-    /// Bit-identical for every thread count.
-    pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
-        kernel_map(x, &self.anchors, self.kernel, threads).matmul_parallel(&self.alpha, threads)
     }
 }
 
@@ -282,17 +279,18 @@ impl TrainedModel {
         }
     }
 
-    /// Project a batch of features (`n x d`) into attribute space (`n x a`).
-    pub fn project(&self, x: &Matrix) -> Matrix {
-        self.project_parallel(x, 1)
-    }
-
-    /// Multi-threaded [`TrainedModel::project`], bit-identical to the serial
-    /// path for every thread count (each family's kernel guarantees this).
-    pub fn project_parallel(&self, x: &Matrix, threads: usize) -> Matrix {
+    /// Project a batch of features (`n x d`) into attribute space (`n x a`)
+    /// on `threads` workers: `X·W` for the linear families,
+    /// `k(X, anchors)·alpha` for the kernel family. Bit-identical for every
+    /// thread count. Panics if `x` is not `feature_dim` wide.
+    pub fn project(&self, x: &Matrix, threads: usize) -> Matrix {
         match self {
-            TrainedModel::Eszsl(m) | TrainedModel::Sae(m) => m.project_parallel(x, threads),
-            TrainedModel::Kernel(m) => m.project_parallel(x, threads),
+            TrainedModel::Eszsl(m) | TrainedModel::Sae(m) => {
+                x.matmul_parallel(m.weights(), threads)
+            }
+            TrainedModel::Kernel(m) => {
+                kernel_map(x, &m.anchors, m.kernel, threads).matmul_parallel(&m.alpha, threads)
+            }
         }
     }
 
@@ -953,12 +951,12 @@ mod tests {
         assert_eq!(model.feature_dim(), ds.train_x.cols());
         assert_eq!(model.attr_dim(), ds.seen_signatures.cols());
         // Projection shapes line up and parallel == serial bit-for-bit.
-        let serial = model.project(&ds.test_seen_x);
+        let serial = model.project(&ds.test_seen_x, 1);
         assert_eq!(serial.rows(), ds.test_seen_x.rows());
         assert_eq!(serial.cols(), ds.seen_signatures.cols());
         for threads in [2, 5] {
             assert_eq!(
-                model.project_parallel(&ds.test_seen_x, threads).as_slice(),
+                model.project(&ds.test_seen_x, threads).as_slice(),
                 serial.as_slice()
             );
         }

@@ -109,10 +109,10 @@ fn random_models_round_trip_to_bit_identical_predictions() {
         for sim in [Similarity::Cosine, Similarity::Dot] {
             case += 1;
             let metadata = format!("case={case}; d={d}; a={a}; z={z}; sim={sim}; unicode=γλ✓");
-            let engine = random_engine(0xA1 + case, d, a, z, sim);
-            engine.save_with_metadata(&path, &metadata).expect("save");
-            let (back, meta) = ScoringEngine::load_with_metadata(&path).expect("load");
-            assert_eq!(meta, metadata);
+            let engine = random_engine(0xA1 + case, d, a, z, sim).with_metadata(metadata.clone());
+            engine.save(&path).expect("save");
+            let back = ScoringEngine::load(&path).expect("load");
+            assert_eq!(back.metadata(), metadata);
             assert_eq!(back.similarity(), sim, "case {case}");
             assert_eq!(
                 weights(&back),
@@ -136,7 +136,7 @@ fn random_models_round_trip_to_bit_identical_predictions() {
             // A second save of the reloaded engine is byte-identical: the
             // format is a fixed point, not an approximation.
             let path2 = temp_path("property2");
-            back.save_with_metadata(&path2, &metadata).expect("resave");
+            back.save(&path2).expect("resave");
             assert_eq!(
                 std::fs::read(&path).expect("read a"),
                 std::fs::read(&path2).expect("read b"),
@@ -165,22 +165,19 @@ fn concurrent_saves_to_one_path_never_install_a_blend() {
     // metadata and class counts), so an interleaved blend could not pass
     // for either: any mixing breaks the exact-length check or the payload
     // comparison below.
-    let variants: Vec<(ScoringEngine, String)> = (0..3)
+    let variants: Vec<ScoringEngine> = (0..3)
         .map(|i| {
-            let engine = random_engine(0x5A + i, 4, 3, 5 + i as usize, Similarity::Cosine);
             let metadata = format!("variant={i}; {}", "x".repeat(10 * (i as usize + 1)));
-            (engine, metadata)
+            random_engine(0x5A + i, 4, 3, 5 + i as usize, Similarity::Cosine)
+                .with_metadata(metadata)
         })
         .collect();
-    variants[0]
-        .0
-        .save_with_metadata(&path, &variants[0].1)
-        .expect("seed save");
+    variants[0].save(&path).expect("seed save");
     let legal: Vec<Vec<u8>> = variants
         .iter()
-        .map(|(engine, metadata)| {
+        .map(|engine| {
             let p = temp_path("save_race_ref");
-            engine.save_with_metadata(&p, metadata).expect("ref save");
+            engine.save(&p).expect("ref save");
             let bytes = std::fs::read(&p).expect("read ref");
             std::fs::remove_file(&p).ok();
             bytes
@@ -191,10 +188,10 @@ fn concurrent_saves_to_one_path_never_install_a_blend() {
     let writers: Vec<_> = (0..3)
         .map(|w| {
             let path = path.clone();
-            let (engine, metadata) = variants[w].clone();
+            let engine = variants[w].clone();
             std::thread::spawn(move || {
                 for _ in 0..40 {
-                    engine.save_with_metadata(&path, &metadata).expect("save");
+                    engine.save(&path).expect("save");
                 }
             })
         })
@@ -258,7 +255,7 @@ fn corrupted_cosine_bank_rows_are_header_errors_not_silent_mis_scoring() {
     let bank_start = aligned_bank_start(ZSM_HEADER_LEN as usize + 1 + 8 * 4 * 3);
 
     // An all-zero bank row (the in-place corruption the load gate exists
-    // for: `from_cached_parts` never re-normalizes, so this would otherwise
+    // for: the loader never re-normalizes a stored bank, so this would otherwise
     // serve scores of exactly 0 for that class forever).
     let mut zero_row = pristine.clone();
     zero_row[bank_start..bank_start + 8 * 3].fill(0);
@@ -288,7 +285,8 @@ fn corrupted_cosine_bank_rows_are_header_errors_not_silent_mis_scoring() {
     // zeroed row loads fine there.
     let dot_path = temp_path("norms_dot");
     random_engine(7, 4, 3, 5, Similarity::Dot)
-        .save_with_metadata(&dot_path, "m")
+        .with_metadata("m")
+        .save(&dot_path)
         .expect("save dot");
     let mut dot_bytes = std::fs::read(&dot_path).expect("read");
     dot_bytes[bank_start..bank_start + 8 * 3].fill(0);
@@ -332,8 +330,8 @@ fn saving_a_cosine_engine_with_a_zero_signature_row_is_a_typed_error() {
 #[test]
 fn committed_artifact_reproduces_the_frozen_gzsl_report() {
     let dir = fixture_dir();
-    let (engine, metadata) =
-        ScoringEngine::load_with_metadata(&dir.join("model.zsm")).expect("load golden artifact");
+    let engine = ScoringEngine::load(&dir.join("model.zsm")).expect("load golden artifact");
+    let metadata = engine.metadata();
     assert!(
         metadata.contains("gamma=1") && metadata.contains("lambda=1"),
         "provenance metadata lost: {metadata}"
@@ -390,14 +388,11 @@ fn committed_artifact_reproduces_the_frozen_gzsl_report() {
 #[ignore = "writes the committed fixture; run explicitly after intentional format changes"]
 fn regenerate_model_artifact() {
     let path = fixture_dir().join("model.zsm");
-    let engine = fixture_engine();
-    engine
-        .save_with_metadata(
-            &path,
-            "trainer=eszsl; gamma=1; lambda=1; normalize_features=false; \
-             normalize_signatures=false; similarity=cosine; seen_classes=4; unseen_classes=2",
-        )
-        .expect("save golden artifact");
+    let engine = fixture_engine().with_metadata(
+        "trainer=eszsl; gamma=1; lambda=1; normalize_features=false; \
+         normalize_signatures=false; similarity=cosine; seen_classes=4; unseen_classes=2",
+    );
+    engine.save(&path).expect("save golden artifact");
     let mut bytes = std::fs::read(&path).expect("read back");
     let meta_len = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
     let d = engine.feature_dim();
@@ -421,7 +416,8 @@ fn regenerate_model_artifact() {
 fn valid_artifact_bytes(tag: &str) -> (PathBuf, Vec<u8>) {
     let path = temp_path(tag);
     random_engine(7, 4, 3, 5, Similarity::Cosine)
-        .save_with_metadata(&path, "m")
+        .with_metadata("m")
+        .save(&path)
         .expect("save");
     let bytes = std::fs::read(&path).expect("read");
     (path, bytes)
@@ -540,9 +536,10 @@ fn bad_magic_version_flags_similarity_and_trailing_bytes_are_header_errors() {
 #[test]
 fn f32_scoring_flag_round_trips_and_is_rejected_by_v1() {
     let path = temp_path("f32_flag");
-    let engine =
-        random_engine(0xF32, 6, 4, 7, Similarity::Cosine).with_precision(ScoringPrecision::F32);
-    engine.save_with_metadata(&path, "f32").expect("save");
+    let engine = random_engine(0xF32, 6, 4, 7, Similarity::Cosine)
+        .with_precision(ScoringPrecision::F32)
+        .with_metadata("f32");
+    engine.save(&path).expect("save");
     let pristine = std::fs::read(&path).expect("read");
     let flags = u16::from_le_bytes(pristine[6..8].try_into().unwrap());
     assert_ne!(flags & 0b10, 0, "save must set flag bit 1 for f32 scoring");
@@ -560,7 +557,7 @@ fn f32_scoring_flag_round_trips_and_is_rejected_by_v1() {
         "reloaded f32 scores drifted"
     );
     let path2 = temp_path("f32_flag2");
-    back.save_with_metadata(&path2, "f32").expect("resave");
+    back.save(&path2).expect("resave");
     assert_eq!(
         pristine,
         std::fs::read(&path2).expect("read resave"),
@@ -650,11 +647,11 @@ fn kernel_artifacts_round_trip_and_validate_their_block() {
         .kernel(KernelKind::Rbf { width: 0.3 })
         .max_anchors(6)
         .build();
-    let engine = family_engine(&trainer);
+    let engine = family_engine(&trainer).with_metadata("k");
     let path = temp_path("kernel_block");
-    engine.save_with_metadata(&path, "k").expect("save");
-    let (back, meta) = ScoringEngine::load_with_metadata(&path).expect("load");
-    assert_eq!(meta, "k");
+    engine.save(&path).expect("save");
+    let back = ScoringEngine::load(&path).expect("load");
+    assert_eq!(back.metadata(), "k");
     assert_eq!(back.model().family(), ModelFamily::KernelEszsl);
     let km = back.model().kernel_model().expect("kernel model");
     let orig = engine.model().kernel_model().expect("kernel model");

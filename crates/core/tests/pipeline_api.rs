@@ -152,9 +152,9 @@ fn normalizing_eszsl_trainer_matches_the_direct_protocol_and_keeps_its_provenanc
     // ESZSL pipeline has always written for this dataset and sweep.
     let path = temp_dir("normalized").with_extension("zsm");
     trained.save(&path).expect("save");
-    let (_, metadata) = ScoringEngine::load_with_metadata(&path).expect("load");
+    let engine = ScoringEngine::load(&path).expect("load");
     assert_eq!(
-        metadata,
+        engine.metadata(),
         "trainer=eszsl; gamma=0.1; lambda=0.1; normalize_features=true; \
          normalize_signatures=true; similarity=cosine; seen_classes=8; unseen_classes=3"
     );
@@ -172,7 +172,8 @@ fn pipeline_save_then_serve_round_trips_bit_identically() {
 
     let path = temp_dir("artifact").with_extension("zsm");
     trained.save(&path).expect("save");
-    let (engine, metadata) = ScoringEngine::load_with_metadata(&path).expect("load");
+    let engine = ScoringEngine::load(&path).expect("load");
+    let metadata = engine.metadata();
     assert!(
         metadata.contains("gamma=0.3") && metadata.contains("lambda=3"),
         "provenance must record the hyperparameters: {metadata}"

@@ -29,7 +29,7 @@ fn legacy_scores(
     similarity: Similarity,
     x: &Matrix,
 ) -> Matrix {
-    let mut projected = model.project(x);
+    let mut projected = x.matmul(model.weights());
     let mut signatures = signatures.clone();
     if similarity == Similarity::Cosine {
         projected.l2_normalize_rows();
@@ -78,18 +78,14 @@ fn cosine_and_dot_agree_on_prenormalized_bank() {
     }
     assert_eq!(cosine.threads(), default_threads().max(1));
     // Engine predictions must not depend on the thread count.
-    let serial = ScoringEngine::with_threads(
+    let mut serial = ScoringEngine::new(
         cosine.model().clone(),
         cosine.signatures().to_matrix(),
         Similarity::Dot, // bank already normalized inside the engine
-        1,
     );
-    let parallel = ScoringEngine::with_threads(
-        cosine.model().clone(),
-        cosine.signatures().to_matrix(),
-        Similarity::Dot,
-        8,
-    );
+    serial.set_threads(1);
+    let mut parallel = serial.clone();
+    parallel.set_threads(8);
     assert_eq!(serial.predict(&x), parallel.predict(&x));
 }
 

@@ -1,9 +1,10 @@
 //! Differential suite for the sharded signature bank: every shard count must
-//! produce **bit-identical** results to the monolithic path — scores, argmax
-//! predictions, and top-k rankings, across both scoring precisions and
-//! thread counts, including deliberate score ties that straddle shard
-//! boundaries (where a merge with the wrong tie-break order would diverge
-//! first). The same bar applies to the boot path: an engine whose bank is
+//! produce **bit-identical** scores to the one-band layout, and argmax
+//! predictions and top-k rankings equal to oracle reductions of those
+//! scores — across both scoring precisions, both similarities, calibrated
+//! and plain engines and thread counts, including deliberate score ties
+//! that straddle shard boundaries (where a merge with the wrong tie-break
+//! order would diverge first). The same bar applies to the boot path: an engine whose bank is
 //! borrowed from a memory-mapped artifact must score bit-identically to one
 //! whose bank was read onto the heap.
 //!
@@ -16,7 +17,7 @@ use zsl_core::data::Rng;
 use zsl_core::{
     cross_validate_with, evaluate_gzsl, evaluate_gzsl_with, BankShards, CrossValConfig,
     EszslConfig, EszslTrainer, Matrix, ProjectionModel, ScoringEngine, ScoringPrecision,
-    Similarity, SyntheticConfig,
+    Similarity, SyntheticConfig, TopK,
 };
 
 /// Bank-row pairs duplicated verbatim so their scores tie bitwise. Each pair
@@ -55,44 +56,79 @@ fn tie_setup() -> (ProjectionModel, Matrix, Matrix) {
     )
 }
 
+/// Oracle argmax of one score row: the first maximum under
+/// [`f64::total_cmp`].
+fn argmax(row: &[f64]) -> usize {
+    (0..row.len()).fold(0, |best, i| {
+        if row[i].total_cmp(&row[best]).is_gt() {
+            i
+        } else {
+            best
+        }
+    })
+}
+
+/// Oracle top-`k` of one score row (`k` clamped to the row length): a
+/// stable full sort by descending score under [`f64::total_cmp`], so ties
+/// keep ascending class order, truncated to `k`.
+fn topk_row(row: &[f64], k: usize) -> TopK {
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| row[b].total_cmp(&row[a]));
+    order.truncate(k);
+    TopK {
+        scores: order.iter().map(|&c| row[c]).collect(),
+        classes: order,
+    }
+}
+
 #[test]
 fn every_shard_count_is_bit_identical_to_the_monolithic_path() {
+    // The expected argmax and rankings come from the engine's full score
+    // matrix through the oracles above, not from another scoring call, so
+    // the streamed band merges are checked against an independent
+    // reduction at every shard count (one band included).
     let (model, bank, x) = tie_setup();
+    let ks = [0usize, 1, 3, CLASSES, CLASSES + 5];
     for similarity in [Similarity::Dot, Similarity::Cosine] {
         for precision in [ScoringPrecision::F64, ScoringPrecision::F32] {
-            for threads in [1usize, 4] {
-                let mut baseline = ScoringEngine::new(model.clone(), bank.clone(), similarity)
-                    .with_precision(precision);
-                baseline.set_threads(threads);
-                assert_eq!(baseline.bank_shards().count(), 1, "default is monolithic");
-                let scores = baseline.scores(&x);
-                let argmax = baseline.predict(&x);
-                let rankings: Vec<_> = [1usize, 3, CLASSES]
-                    .iter()
-                    .map(|&k| baseline.predict_topk(&x, k))
-                    .collect();
-
-                for requested in [1usize, 2, 7, CLASSES] {
-                    let mut sharded = ScoringEngine::new(model.clone(), bank.clone(), similarity)
+            for calibrated in [false, true] {
+                for threads in [1usize, 4] {
+                    let mut engine = ScoringEngine::new(model.clone(), bank.clone(), similarity)
                         .with_precision(precision);
-                    sharded.set_threads(threads);
-                    sharded.set_bank_shards(requested);
-                    let tag = format!(
-                        "similarity={similarity:?} precision={precision:?} \
-                         threads={threads} shards={requested}"
-                    );
-                    assert_eq!(
-                        sharded.scores(&x).as_slice(),
-                        scores.as_slice(),
-                        "score bits diverged ({tag})"
-                    );
-                    assert_eq!(sharded.predict(&x), argmax, "argmax diverged ({tag})");
-                    for (&k, expected) in [1usize, 3, CLASSES].iter().zip(&rankings) {
-                        assert_eq!(
-                            &sharded.predict_topk(&x, k),
-                            expected,
-                            "top-{k} diverged ({tag})"
+                    if calibrated {
+                        // A seen prefix that ends inside the third 64-row tile.
+                        engine = engine.with_calibration(0.05, 150).expect("calibrate");
+                    }
+                    engine.set_threads(threads);
+                    assert_eq!(engine.bank_shards().count(), 1, "default is one band");
+                    let scores = engine.scores(&x);
+                    let rows = 0..x.rows();
+                    let argmaxes: Vec<usize> =
+                        rows.clone().map(|i| argmax(scores.row(i))).collect();
+                    let rankings: Vec<Vec<TopK>> = ks
+                        .iter()
+                        .map(|&k| rows.clone().map(|i| topk_row(scores.row(i), k)).collect())
+                        .collect();
+
+                    for requested in [1usize, 2, 7, CLASSES] {
+                        engine.set_bank_shards(requested);
+                        let tag = format!(
+                            "similarity={similarity:?} precision={precision:?} \
+                             calibrated={calibrated} threads={threads} shards={requested}"
                         );
+                        assert_eq!(
+                            engine.scores(&x).as_slice(),
+                            scores.as_slice(),
+                            "score bits diverged ({tag})"
+                        );
+                        assert_eq!(engine.predict(&x), argmaxes, "argmax diverged ({tag})");
+                        for (&k, expected) in ks.iter().zip(&rankings) {
+                            assert_eq!(
+                                &engine.predict_topk(&x, k),
+                                expected,
+                                "top-{k} diverged ({tag})"
+                            );
+                        }
                     }
                 }
             }
@@ -164,13 +200,13 @@ fn mmap_boot_is_bit_identical_to_heap_boot() {
     // mapped loader must fall back to a heap copy — and still score
     // identically through the same validation.
     let golden = golden_model_path();
-    let (heap, heap_meta) = ScoringEngine::load_with_metadata(&golden).expect("heap load");
-    let (fallback, fb_meta) = ScoringEngine::load_mapped(&golden).expect("mapped load");
+    let heap = ScoringEngine::load(&golden).expect("heap load");
+    let fallback = ScoringEngine::load_mapped(&golden).expect("mapped load");
     assert!(
         !fallback.is_bank_mapped(),
         "legacy unaligned artifact must fall back to the heap"
     );
-    assert_eq!(heap_meta, fb_meta);
+    assert_eq!(heap.metadata(), fallback.metadata());
     let mut rng = Rng::new(7);
     let x = Matrix::from_vec(
         9,
@@ -188,16 +224,16 @@ fn mmap_boot_is_bit_identical_to_heap_boot() {
     // without sharding on top.
     let path =
         std::env::temp_dir().join(format!("zsl_shard_equiv_mmap_{}.zsm", std::process::id()));
-    heap.save_with_metadata(&path, &heap_meta).expect("resave");
-    let (mapped, mapped_meta) = ScoringEngine::load_mapped(&path).expect("mapped v2 load");
-    assert_eq!(mapped_meta, heap_meta);
+    heap.save(&path).expect("resave");
+    let mapped = ScoringEngine::load_mapped(&path).expect("mapped v2 load");
+    assert_eq!(mapped.metadata(), heap.metadata());
     if cfg!(all(unix, target_endian = "little")) {
         assert!(mapped.is_bank_mapped(), "aligned v2 artifact must map");
     }
     assert_eq!(mapped.scores(&x).as_slice(), heap.scores(&x).as_slice());
     assert_eq!(mapped.predict(&x), heap.predict(&x));
     assert_eq!(mapped.predict_topk(&x, 3), heap.predict_topk(&x, 3));
-    let mut sharded = ScoringEngine::load_mapped(&path).expect("mapped load").0;
+    let mut sharded = ScoringEngine::load_mapped(&path).expect("mapped load");
     sharded.set_bank_shards(4);
     assert_eq!(
         sharded.predict_topk(&x, 3),

@@ -88,18 +88,14 @@ fn scoring_throughput_multi_threaded_vs_single_threaded() {
     let bank = random_matrix(&mut rng, w.z, w.a);
     let x = random_matrix(&mut rng, w.n, w.d);
 
-    let single = ScoringEngine::with_threads(
-        ProjectionModel::from_weights(weights.clone()),
-        bank.clone(),
-        Similarity::Cosine,
-        1,
-    );
-    let multi = ScoringEngine::with_threads(
+    let mut single = ScoringEngine::new(
         ProjectionModel::from_weights(weights),
         bank,
         Similarity::Cosine,
-        threads,
     );
+    single.set_threads(1);
+    let mut multi = single.clone();
+    multi.set_threads(threads);
 
     // Warm-up: touches every buffer and verifies the two paths agree exactly.
     let warm_single = single.predict(&x);
@@ -147,14 +143,15 @@ fn cached_bank_scoring_vs_legacy_clone_path() {
     // PR 1 path: per-call bank clone + renormalize + transpose + serial
     // blocked matmul.
     let legacy = |x: &Matrix| -> Matrix {
-        let mut projected = model.project(x);
+        let mut projected = x.matmul(model.weights());
         let mut signatures = bank.clone();
         projected.l2_normalize_rows();
         signatures.l2_normalize_rows();
         projected.matmul(&signatures.transpose())
     };
     // Engine path pinned to one thread so the delta isolates the caching.
-    let engine = ScoringEngine::with_threads(model.clone(), bank.clone(), Similarity::Cosine, 1);
+    let mut engine = ScoringEngine::new(model.clone(), bank.clone(), Similarity::Cosine);
+    engine.set_threads(1);
 
     let reference = legacy(&x);
     let cached = engine.scores(&x);
@@ -553,8 +550,8 @@ fn mmap_boot_vs_heap_boot() {
     let path = std::env::temp_dir().join(format!("zsl_bench_mmap_{}.zsm", std::process::id()));
     engine.save(&path).expect("save");
 
-    let (heap, _) = ScoringEngine::load_with_metadata(&path).expect("heap load");
-    let (mapped, _) = ScoringEngine::load_mapped(&path).expect("mapped load");
+    let heap = ScoringEngine::load(&path).expect("heap load");
+    let mapped = ScoringEngine::load_mapped(&path).expect("mapped load");
     assert_eq!(
         heap.predict_topk(&x, 5),
         mapped.predict_topk(&x, 5),
@@ -563,7 +560,7 @@ fn mmap_boot_vs_heap_boot() {
 
     let boot_iters = if smoke() { 3 } else { 10 };
     let (t_heap, _) = time_best(boot_iters, || {
-        ScoringEngine::load_with_metadata(&path).expect("heap load")
+        ScoringEngine::load(&path).expect("heap load")
     });
     let (t_mapped, _) = time_best(boot_iters, || {
         ScoringEngine::load_mapped(&path).expect("mapped load")

@@ -231,16 +231,17 @@ fn every_family_round_trips_through_zsm_v2_bit_for_bit() {
     let ds = synthetic_dataset();
     for (tag, trainer) in trainers() {
         let model = trainer.fit(&ds).expect("fit");
-        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+        let metadata = trainer.describe();
+        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine)
+            .with_metadata(metadata.clone());
         let report = evaluate_gzsl_with(&engine, &ds).expect("evaluate");
         let path = std::env::temp_dir().join(format!(
             "zsl_trainer_equiv_{}_{tag}.zsm",
             std::process::id()
         ));
-        let metadata = trainer.describe();
-        engine.save_with_metadata(&path, &metadata).expect("save");
-        let (back, meta) = ScoringEngine::load_with_metadata(&path).expect("load");
-        assert_eq!(meta, metadata, "{tag}: metadata drifted");
+        engine.save(&path).expect("save");
+        let back = ScoringEngine::load(&path).expect("load");
+        assert_eq!(back.metadata(), metadata, "{tag}: metadata drifted");
         assert_same_model(back.model(), engine.model(), tag);
         assert_eq!(
             evaluate_gzsl_with(&back, &ds).expect("evaluate reloaded"),
@@ -250,7 +251,7 @@ fn every_family_round_trips_through_zsm_v2_bit_for_bit() {
         // A resave of the reloaded engine is byte-identical: the format is a
         // fixed point for every family, not an approximation.
         let path2 = path.with_extension("resave.zsm");
-        back.save_with_metadata(&path2, &metadata).expect("resave");
+        back.save(&path2).expect("resave");
         assert_eq!(
             std::fs::read(&path).expect("read a"),
             std::fs::read(&path2).expect("read b"),

@@ -1,6 +1,6 @@
 //! The std-only HTTP/1.1 front end of the serving daemon.
 //!
-//! No async runtime and no HTTP dependency: a nonblocking accept loop, one
+//! No async runtime and no HTTP dependency: a blocking accept loop, one
 //! thread per connection (keep-alive honored), and a hand-rolled parser for
 //! the tiny request surface the daemon speaks. Every request byte is
 //! untrusted: framing errors, a request line or header line over 8 KiB or
@@ -14,7 +14,7 @@
 //! |-------|----------|
 //! | `GET /healthz` | liveness: `200 ok` |
 //! | `GET /stats`   | `key=value` counter lines (see [`crate::stats`]) |
-//! | `GET /model`   | generation, model family, dims, similarity, scoring precision, provenance metadata |
+//! | `GET /model`   | generation, model family, dims, similarity, scoring precision, provenance metadata (`\`, newline and carriage return escaped as `\\`, `\n`, `\r`) |
 //! | `POST /reload` | force a model reload now (`503` + old model kept on failure) |
 //! | `POST /predict[?k=N]` | score feature rows (see below) |
 //!
@@ -34,7 +34,7 @@ use crate::error::ServeError;
 use crate::model::{spawn_watcher, BootOptions, ModelHandle};
 use crate::stats::{ServeStats, StatsSnapshot};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -127,7 +127,6 @@ impl Server {
         stats.set_thread_gauges(engine_threads, zsl_core::pool_threads());
         let coalescer = Arc::new(Coalescer::start(model.clone(), stats.clone(), config.batch));
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -143,7 +142,14 @@ impl Server {
             std::thread::Builder::new()
                 .name("zsl-serve-accept".into())
                 .spawn(move || loop {
-                    match listener.accept() {
+                    // Blocking accept: `Drop` sets `stop` and then wakes this
+                    // call with one loopback connect. SeqCst pairs with the
+                    // store in `Drop`, so the woken call sees the flag.
+                    let accepted = listener.accept();
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match accepted {
                         Ok((stream, _)) => {
                             let model = model.clone();
                             let stats = stats.clone();
@@ -155,18 +161,9 @@ impl Server {
                                 })
                                 .ok();
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // A real accept error (e.g. EMFILE) tends to repeat:
+                        // back off briefly so the loop cannot spin.
+                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
                     }
                 })
                 .expect("spawn accept thread")
@@ -208,8 +205,20 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the blocking accept with one connect to the bound port; an
+        // unspecified bind address (0.0.0.0 or ::) is reached via loopback.
+        // Should the connect fail, the accept thread is left to exit on its
+        // next connection rather than hang the drop.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
+        if let Some(t) = self.accept.take().filter(|_| woke) {
             t.join().ok();
         }
         if let Some(t) = self.watcher.take() {
@@ -447,7 +456,7 @@ fn route(
                 engine.similarity(),
                 engine.precision(),
                 engine.threads(),
-                snapshot.metadata
+                escape_line(engine.metadata())
             ))
         }
         ("POST", "/reload") => {
@@ -488,6 +497,15 @@ fn predict(request: &Request, coalescer: &Arc<Coalescer>) -> Result<String, Serv
         render_row(&mut body, &result);
     }
     Ok(body)
+}
+
+/// Escape backslash, newline and carriage return (as `\\`, `\n`, `\r`) so an
+/// artifact's free-form provenance stays on its one `metadata=` line of
+/// `/model` and cannot forge other lines.
+fn escape_line(text: &str) -> String {
+    text.replace('\\', "\\\\")
+        .replace('\n', "\\n")
+        .replace('\r', "\\r")
 }
 
 /// `k=N` from the query string (default 1). Unknown parameters are typed

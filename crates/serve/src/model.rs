@@ -6,9 +6,11 @@
 //! - Request threads see **one immutable [`ScoringEngine`]** behind an
 //!   `Arc`: a snapshot taken at batch time keeps scoring that exact model
 //!   even if a reload lands mid-batch, so no batch ever mixes two models.
-//! - Reload goes through [`ScoringEngine::load_with_metadata`] (or
-//!   [`ScoringEngine::load_mapped`] under [`BootOptions::mmap_boot`]), which
-//!   validates the entire artifact before anything is swapped — combined
+//! - Boot and every reload go through one loader,
+//!   [`ScoringEngine::load`] (or [`ScoringEngine::load_mapped`] under
+//!   [`BootOptions::mmap_boot`]), which returns the engine with its
+//!   provenance metadata and validates the entire artifact before anything
+//!   is swapped — combined
 //!   with the writer side's fsync + unique-temp + rename discipline, a
 //!   swap can only ever install a complete old or complete new model,
 //!   never a partial or blended one.
@@ -26,10 +28,9 @@ use zsl_core::ScoringEngine;
 /// One immutable, fully-validated model: what a request thread scores with.
 #[derive(Debug)]
 pub struct ModelSnapshot {
-    /// The scoring engine, shared across request threads.
+    /// The scoring engine, shared across request threads; its
+    /// [`ScoringEngine::metadata`] is the artifact's provenance.
     pub engine: Arc<ScoringEngine>,
-    /// Provenance metadata stored in the artifact, verbatim.
-    pub metadata: String,
     /// Monotonic swap counter: 1 for the boot model, +1 per successful
     /// reload. Responses echo it so clients can observe swaps.
     pub generation: u64,
@@ -103,7 +104,9 @@ pub struct BootOptions {
     pub engine_threads: usize,
     /// Load artifacts through [`ScoringEngine::load_mapped`]: zero-copy bank
     /// borrow when the artifact layout and platform allow it, transparent
-    /// heap fallback otherwise.
+    /// heap fallback otherwise. Off by default: a mapped artifact must only
+    /// ever be replaced by rename (as `save` does); a `cp` over it truncates
+    /// the mapped file and the next bank read faults.
     pub mmap_boot: bool,
     /// Split the signature bank into this many shards for streaming top-k
     /// scoring (`None` keeps the monolithic bank). Scored bits are identical
@@ -133,33 +136,11 @@ impl ModelHandle {
     /// the box needs the `.zsm` file and nothing else — no training data,
     /// no re-solve. A bad artifact is a typed error, never a panic.
     ///
-    /// The engine keeps the artifact's default thread sizing; use
-    /// [`ModelHandle::boot_with_threads`] to pin it.
-    pub fn boot(path: &Path, stats: Arc<ServeStats>) -> Result<ModelHandle, ServeError> {
-        Self::boot_with_threads(path, stats, zsl_core::default_threads())
-    }
-
-    /// Boot like [`ModelHandle::boot`], but size the engine's kernel
-    /// parallelism to exactly `engine_threads` (clamped to at least 1).
-    /// Every later hot-swap re-applies the same sizing, so a reload can
-    /// never silently revert the daemon to oversubscribed defaults.
-    pub fn boot_with_threads(
-        path: &Path,
-        stats: Arc<ServeStats>,
-        engine_threads: usize,
-    ) -> Result<ModelHandle, ServeError> {
-        Self::boot_with_options(
-            path,
-            stats,
-            BootOptions {
-                engine_threads,
-                ..BootOptions::default()
-            },
-        )
-    }
-
-    /// Boot with full [`BootOptions`]: thread sizing, opt-in mmap loading,
-    /// and bank sharding. Every later hot swap re-applies the same options.
+    /// [`BootOptions`] set thread sizing, opt-in mmap loading, and bank
+    /// sharding; `BootOptions::default()` keeps one kernel thread per core,
+    /// heap loading and one bank band. Every later hot swap re-applies the
+    /// same options, so a reload can never silently revert the daemon to
+    /// different scoring behavior.
     pub fn boot_with_options(
         path: &Path,
         stats: Arc<ServeStats>,
@@ -171,11 +152,10 @@ impl ModelHandle {
             options.engine_threads
         };
         let fingerprint = Fingerprint::probe(path)?;
-        let (engine, metadata) = Self::load_engine(path, &options)?;
+        let engine = Self::load_engine(path, &options)?;
         Self::set_bank_gauges(&stats, &engine);
         let snapshot = Arc::new(ModelSnapshot {
             engine: Arc::new(engine),
-            metadata,
             generation: 1,
         });
         Ok(ModelHandle {
@@ -188,20 +168,17 @@ impl ModelHandle {
 
     /// Load + size one engine per the handle's options — the single code
     /// path behind boot and every reload.
-    fn load_engine(
-        path: &Path,
-        options: &BootOptions,
-    ) -> Result<(ScoringEngine, String), ServeError> {
-        let (mut engine, metadata) = if options.mmap_boot {
+    fn load_engine(path: &Path, options: &BootOptions) -> Result<ScoringEngine, ServeError> {
+        let mut engine = if options.mmap_boot {
             ScoringEngine::load_mapped(path)?
         } else {
-            ScoringEngine::load_with_metadata(path)?
+            ScoringEngine::load(path)?
         };
         engine.set_threads(options.engine_threads);
         if let Some(shards) = options.bank_shards {
             engine.set_bank_shards(shards);
         }
-        Ok((engine, metadata))
+        Ok(engine)
     }
 
     fn set_bank_gauges(stats: &ServeStats, engine: &ScoringEngine) {
@@ -248,14 +225,13 @@ impl ModelHandle {
             ServeError::Io(e)
         })?;
         match Self::load_engine(&self.path, &self.options) {
-            Ok((engine, metadata)) => {
+            Ok(engine) => {
                 Self::set_bank_gauges(&self.stats, &engine);
                 let mut slot = self.current.write().expect("model lock poisoned");
                 let generation = slot.0.generation + 1;
                 *slot = (
                     Arc::new(ModelSnapshot {
                         engine: Arc::new(engine),
-                        metadata,
                         generation,
                     }),
                     fingerprint,
@@ -323,18 +299,23 @@ mod tests {
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
         ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
-            .save_with_metadata(&path, &format!("seed={seed}"))
+            .with_metadata(format!("seed={seed}"))
+            .save(&path)
             .expect("save");
         path
+    }
+
+    fn boot(path: &Path, stats: Arc<ServeStats>) -> Result<ModelHandle, ServeError> {
+        ModelHandle::boot_with_options(path, stats, BootOptions::default())
     }
 
     #[test]
     fn boot_snapshot_and_forced_reload_bump_generation() {
         let path = temp_artifact("reload", 1);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats.clone()).expect("boot");
+        let handle = boot(&path, stats.clone()).expect("boot");
         assert_eq!(handle.generation(), 1);
-        assert_eq!(handle.snapshot().metadata, "seed=1");
+        assert_eq!(handle.snapshot().engine.metadata(), "seed=1");
         let generation = handle.reload().expect("reload");
         assert_eq!(generation, 2);
         assert_eq!(stats.snapshot().reloads, 1);
@@ -345,7 +326,7 @@ mod tests {
     fn poll_swaps_only_on_change_and_failure_keeps_old_model() {
         let path = temp_artifact("poll", 2);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats.clone()).expect("boot");
+        let handle = boot(&path, stats.clone()).expect("boot");
         assert_eq!(handle.poll().expect("poll"), None, "unchanged file swapped");
 
         // Corrupt the artifact in place (not via the atomic save path):
@@ -360,10 +341,11 @@ mod tests {
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
         ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
-            .save_with_metadata(&path, "replacement")
+            .with_metadata("replacement")
+            .save(&path)
             .expect("save");
         assert_eq!(handle.poll().expect("poll"), Some(2));
-        assert_eq!(handle.snapshot().metadata, "replacement");
+        assert_eq!(handle.snapshot().engine.metadata(), "replacement");
         std::fs::remove_file(&path).ok();
     }
 
@@ -371,7 +353,11 @@ mod tests {
     fn pinned_engine_threads_survive_boot_and_reload() {
         let path = temp_artifact("threads", 3);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot_with_threads(&path, stats, 3).expect("boot");
+        let options = BootOptions {
+            engine_threads: 3,
+            ..BootOptions::default()
+        };
+        let handle = ModelHandle::boot_with_options(&path, stats, options).expect("boot");
         assert_eq!(handle.engine_threads(), 3);
         assert_eq!(handle.snapshot().engine.threads(), 3);
         handle.reload().expect("reload");
@@ -387,7 +373,7 @@ mod tests {
     fn same_length_same_mtime_resave_still_triggers_hot_swap() {
         let path = temp_artifact("digest", 4);
         let stats = Arc::new(ServeStats::new());
-        let handle = ModelHandle::boot(&path, stats).expect("boot");
+        let handle = boot(&path, stats).expect("boot");
         let original_len = std::fs::metadata(&path).expect("meta").len();
         let original_mtime = std::fs::metadata(&path)
             .expect("meta")
@@ -403,7 +389,8 @@ mod tests {
         let w = Matrix::from_vec(3, 2, (0..6).map(|_| rng.normal()).collect());
         let bank = Matrix::from_vec(4, 2, (0..8).map(|_| rng.normal()).collect());
         ScoringEngine::new(ProjectionModel::from_weights(w), bank, Similarity::Dot)
-            .save_with_metadata(&path, "seed=77")
+            .with_metadata("seed=77")
+            .save(&path)
             .expect("resave");
         assert_eq!(
             std::fs::metadata(&path).expect("meta").len(),
@@ -431,7 +418,7 @@ mod tests {
             Some(2),
             "content digest must catch a same-length same-mtime rewrite"
         );
-        assert_eq!(handle.snapshot().metadata, "seed=77");
+        assert_eq!(handle.snapshot().engine.metadata(), "seed=77");
         std::fs::remove_file(&path).ok();
     }
 
@@ -440,9 +427,6 @@ mod tests {
         let path = std::env::temp_dir().join("zsl_serve_model_missing.zsm");
         std::fs::remove_file(&path).ok();
         let stats = Arc::new(ServeStats::new());
-        assert!(matches!(
-            ModelHandle::boot(&path, stats),
-            Err(ServeError::Io(_))
-        ));
+        assert!(matches!(boot(&path, stats), Err(ServeError::Io(_))));
     }
 }

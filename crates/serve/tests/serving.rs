@@ -98,10 +98,9 @@ fn expected_line(engine: &ScoringEngine, row: &[f64], k: usize, generation: u64)
 #[test]
 fn daemon_boots_from_artifact_alone_and_serves_bit_identical_predictions() {
     let path = temp_artifact("boot");
-    let engine = random_engine(101, 5, 3, 7, Similarity::Cosine);
-    engine
-        .save_with_metadata(&path, "trainer=test; seed=101")
-        .expect("save");
+    let engine =
+        random_engine(101, 5, 3, 7, Similarity::Cosine).with_metadata("trainer=test; seed=101");
+    engine.save(&path).expect("save");
     let server = Server::start(&path, ServerConfig::default()).expect("start");
     // The artifact can disappear after boot — the daemon holds the model in
     // memory; nothing else on the box is consulted per request.
@@ -171,11 +170,10 @@ fn daemon_boots_every_model_family_from_its_artifact_alone() {
     ];
     for (family, trainer) in trainers {
         let model = trainer.fit(&ds).expect("fit");
-        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine);
+        let engine = ScoringEngine::new(model, ds.all_signatures(), Similarity::Cosine)
+            .with_metadata(trainer.describe());
         let path = temp_artifact(&format!("family_{family}"));
-        engine
-            .save_with_metadata(&path, &trainer.describe())
-            .expect("save");
+        engine.save(&path).expect("save");
         let server = Server::start(&path, ServerConfig::default()).expect("start");
         // Artifact alone: nothing else on disk is consulted per request.
         std::fs::remove_file(&path).expect("remove artifact");
@@ -431,8 +429,8 @@ fn swap_pair() -> (ScoringEngine, ScoringEngine) {
     let to_class_1 =
         ProjectionModel::from_weights(Matrix::from_rows(&[vec![-1.0, 0.0], vec![0.0, 1.0]]));
     (
-        ScoringEngine::new(to_class_0, bank.clone(), Similarity::Dot),
-        ScoringEngine::new(to_class_1, bank, Similarity::Dot),
+        ScoringEngine::new(to_class_0, bank.clone(), Similarity::Dot).with_metadata("model=a"),
+        ScoringEngine::new(to_class_1, bank, Similarity::Dot).with_metadata("model=b"),
     )
 }
 
@@ -440,9 +438,7 @@ fn swap_pair() -> (ScoringEngine, ScoringEngine) {
 fn hot_swap_under_concurrent_resaves_never_serves_a_partial_or_blended_model() {
     let path = temp_artifact("hotswap");
     let (model_a, model_b) = swap_pair();
-    model_a
-        .save_with_metadata(&path, "model=a")
-        .expect("save a");
+    model_a.save(&path).expect("save a");
     let server = Server::start(
         &path,
         ServerConfig {
@@ -480,12 +476,8 @@ fn hot_swap_under_concurrent_resaves_never_serves_a_partial_or_blended_model() {
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let (model, tag) = if i % 2 == 0 {
-                    (&model_b, "model=b")
-                } else {
-                    (&model_a, "model=a")
-                };
-                model.save_with_metadata(&path, tag).expect("re-save");
+                let model = if i % 2 == 0 { &model_b } else { &model_a };
+                model.save(&path).expect("re-save");
                 std::thread::sleep(Duration::from_millis(4));
             }
         })
@@ -540,8 +532,8 @@ fn hot_swap_under_concurrent_resaves_never_serves_a_partial_or_blended_model() {
 #[test]
 fn failed_reload_keeps_serving_the_old_model() {
     let path = temp_artifact("badreload");
-    let engine = random_engine(105, 4, 2, 3, Similarity::Dot);
-    engine.save_with_metadata(&path, "good").expect("save");
+    let engine = random_engine(105, 4, 2, 3, Similarity::Dot).with_metadata("good");
+    engine.save(&path).expect("save");
     // Watcher disabled: reloads only happen through POST /reload, so the
     // failure timing is deterministic.
     let server = Server::start(
@@ -629,5 +621,65 @@ fn keep_alive_connections_serve_multiple_requests() {
             "request {i}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn model_route_escapes_provenance_so_it_cannot_forge_lines() {
+    let path = temp_artifact("meta_escape");
+    random_engine(107, 3, 2, 4, Similarity::Dot)
+        .with_metadata("x\ngeneration=999\r\\n")
+        .save(&path)
+        .expect("save");
+    let server = Server::start(
+        &path,
+        ServerConfig {
+            watch_interval: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let (status, body) = get(server.addr(), "/model");
+    assert_eq!(status, 200, "{body}");
+    let generations: Vec<&str> = body
+        .lines()
+        .filter(|l| l.starts_with("generation="))
+        .collect();
+    assert_eq!(generations, ["generation=1"], "forged line in: {body}");
+    assert!(
+        body.lines()
+            .any(|l| l == r"metadata=x\ngeneration=999\r\\n"),
+        "metadata not escaped: {body}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn dropping_an_idle_server_is_prompt_and_closes_its_port() {
+    let path = temp_artifact("drop");
+    random_engine(108, 3, 2, 4, Similarity::Dot)
+        .save(&path)
+        .expect("save");
+    // No watcher: the drop time measured below is the accept loop's alone.
+    let server = Server::start(
+        &path,
+        ServerConfig {
+            watch_interval: None,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.addr();
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    // Idle: that request's connection is closed, none is pending.
+    let started = std::time::Instant::now();
+    drop(server);
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "drop took {elapsed:?}");
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_err(),
+        "port still accepts connections after drop"
+    );
     std::fs::remove_file(&path).ok();
 }

@@ -4,9 +4,13 @@
 test:
     cargo build --release && cargo test -q
 
+# The same fmt and clippy gates as CI, including the benchmark package,
+# which is its own workspace and so outside the root `--all` passes.
 lint:
     cargo fmt --all -- --check
     cargo clippy --all-targets -- -D warnings
+    cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+    cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 fmt:
     cargo fmt --all
